@@ -1,13 +1,13 @@
-"""Throughput comparison of the numba kernels against their numpy twins.
+"""Throughput comparison of the numba MMD kernel against its numpy twin.
 
-Times the two hot paths — pairwise RBF sums (the O(n²) MMD core) and the
-diffused-mixture field evaluation — on a ladder of sizes, checks that the
-backends agree to round-off, and prints per-call times with the speedup.
+Times the pairwise RBF sums (the O(n²) MMD core) on a ladder of sizes,
+checks that the backends agree to round-off, and prints per-call times with
+the speedup. The mixture fields have no numba twin, so they are not here.
 
     python3 benchmarks/bench_kernels.py [--repeats 3] [--quick]
 
 Setting SIMDISTILL_NO_NUMBA=1 makes the package run on the numpy path; this
-script imports both implementations directly, so it reports the comparison
+script imports both MMD implementations directly, so it reports the comparison
 regardless of which backend the package itself selected.
 """
 
@@ -19,8 +19,6 @@ import numpy as np
 from simdistill.kernels import (
     HAS_NUMBA,
     backend_name,
-    gmm_fields_numba,
-    gmm_fields_numpy,
     mmd_sums_numba,
     mmd_sums_numpy,
 )
@@ -39,9 +37,7 @@ def _time(fn, repeats: int) -> float:
 
 
 def _agreement(a, b) -> float:
-    """Max relative gap between two results (tuples compared element-wise)."""
-    if isinstance(a, tuple):
-        return max(_agreement(x, y) for x, y in zip(a, b))
+    """Max relative gap between two results."""
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     scale = np.maximum(np.abs(a), 1.0)
@@ -65,27 +61,6 @@ def bench_mmd(sizes, repeats: int) -> None:
             print(f"{n:7d} {t_np:9.4f}s {'—':>10s} {'—':>8s} {'—':>9s}")
 
 
-def bench_gmm_fields(sizes, repeats: int) -> None:
-    print("\ndiffused-mixture fields (log-density + score + denoiser, K=8, d=2)")
-    print(f"{'n':>7s} {'numpy':>10s} {'numba':>10s} {'speedup':>8s} {'rel gap':>9s}")
-    rng = make_rng(1)
-    angles = 2.0 * np.pi * np.arange(8) / 8
-    means = 4.0 * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    t = 1.3
-    variances = np.full(8, 0.3**2 + t * t)
-    log_w = np.full(8, -np.log(8.0))
-    for n in sizes:
-        x = rng.normal(size=(n, 2), scale=3.0)
-        ref = gmm_fields_numpy(x, means, variances, log_w, t * t)
-        t_np = _time(lambda: gmm_fields_numpy(x, means, variances, log_w, t * t), repeats)
-        if HAS_NUMBA:
-            got = gmm_fields_numba(x, means, variances, log_w, t * t)
-            t_nb = _time(lambda: gmm_fields_numba(x, means, variances, log_w, t * t), repeats)
-            print(f"{n:7d} {t_np:9.4f}s {t_nb:9.4f}s {t_np / t_nb:7.1f}x {_agreement(ref, got):9.1e}")
-        else:
-            print(f"{n:7d} {t_np:9.4f}s {'—':>10s} {'—':>8s} {'—':>9s}")
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=3, help="timed repeats; best is reported")
@@ -97,9 +72,7 @@ def main() -> None:
         print("numba is not available; unset SIMDISTILL_NO_NUMBA or install numba "
               "to see the compiled column")
     mmd_sizes = (500, 2000) if args.quick else (500, 2000, 5000)
-    field_sizes = (1_000, 10_000) if args.quick else (1_000, 10_000, 100_000)
     bench_mmd(mmd_sizes, args.repeats)
-    bench_gmm_fields(field_sizes, args.repeats)
 
 
 if __name__ == "__main__":

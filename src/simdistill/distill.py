@@ -206,28 +206,23 @@ def build_generator(gspec: GeneratorSpec, data_dim: int, dspec: DiffusionSpec, s
 # field adapters: everything downstream consumes callables f(x_t, t) -> Tensor
 
 
-def denoiser_field(obj, dspec: DiffusionSpec):
-    """Wrap a teacher/net as a posterior-denoiser callable on the graph."""
+def graph_field(obj, form: str):
+    """Wrap a teacher/net as a frozen graph callable f(x_t, t).
+
+    ``form`` is the loss form: "denoiser" asks for the posterior denoiser,
+    "score" for the marginal score. A net is taken to compute that field
+    already; an analytic teacher supplies it from its closed form.
+    """
+    if form not in ("denoiser", "score"):
+        raise ValueError(f"unknown loss form {form!r}")
     if isinstance(obj, MlpNet):
-        frozen = obj.detached()
-        return lambda x, t: frozen(x, t)
+        return obj.detached()
     if isinstance(obj, GaussianSpec):
         obj = _as_isotropic_gmm(obj)
     if isinstance(obj, GmmSpec):
-        return lambda x, t: gmm_denoiser_graph(obj, x, t)
-    raise TypeError(f"cannot build a denoiser field from {type(obj).__name__}")
-
-
-def score_field(obj, dspec: DiffusionSpec):
-    """Wrap a teacher/net as a marginal-score callable on the graph."""
-    if isinstance(obj, MlpNet):
-        frozen = obj.detached()
-        return lambda x, t: frozen(x, t)
-    if isinstance(obj, GaussianSpec):
-        obj = _as_isotropic_gmm(obj)
-    if isinstance(obj, GmmSpec):
-        return lambda x, t: gmm_score_graph(obj, x, t)
-    raise TypeError(f"cannot build a score field from {type(obj).__name__}")
+        oracle = gmm_denoiser_graph if form == "denoiser" else gmm_score_graph
+        return lambda x, t: oracle(obj, x, t)
+    raise TypeError(f"cannot build a {form} field from {type(obj).__name__}")
 
 
 class PreconditionedDenoiser:
@@ -578,17 +573,14 @@ def run_distillation(
     if isinstance(teacher, MlpNet) and teacher.widths == online.widths:
         online.load_state_dict(teacher.state_dict())  # warm start from the teacher
 
-    field_of = denoiser_field if cfg.loss_form == "denoiser" else score_field
-    teacher_field = field_of(teacher, dspec)
-    online_frozen = online.detached()
-    online_field = lambda x, t: online_frozen(x, t)
+    teacher_field = graph_field(teacher, cfg.loss_form)
+    online_field = online.detached()
 
     opt_phi = Adam(online.named_parameters(), lr=cfg.score_lr)
     opt_theta = Adam(gen.named_parameters(), lr=cfg.gen_lr)
     train_rng = streams["train"]
     eval_rng = streams["eval"]
 
-    gen_loss_fn = sim_generator_loss if cfg.baseline == "sim" else None
     rows: list[MetricRow] = []
     p1_value = 0.0
     p2_value = 0.0
@@ -624,7 +616,7 @@ def run_distillation(
 
         phi_before = _params_digest(online.parameters())
         if cfg.baseline == "sim":
-            loss2 = gen_loss_fn(
+            loss2 = sim_generator_loss(
                 gen,
                 online_field,
                 teacher_field,
@@ -663,7 +655,8 @@ def run_distillation(
 
         if step_callback is not None:
             step_callback(step, p1_value, p2_value)
-        if cfg.eval_interval > 0 and step % cfg.eval_interval == 0:
+        # the last step's row comes from the final evaluation below
+        if cfg.eval_interval > 0 and step % cfg.eval_interval == 0 and step < cfg.gen_steps:
             evaluate(step, cfg.eval_samples, eval_rng)
 
     final_samples, final_mmd, final_cov, counts = evaluate(

@@ -1,12 +1,14 @@
 """Hot numeric kernels: pairwise RBF sums for MMD and mixture field evaluation.
 
-Each kernel has a pure-numpy implementation and a numba-compiled twin. The
-active backend is chosen once at import: numba when it is importable and the
-environment variable ``SIMDISTILL_NO_NUMBA`` is unset/empty, numpy otherwise.
-Both backends implement the same math and agree to floating-point round-off
-(reduction orders differ, so agreement is ~1e-12 relative, not bit-exact);
-each backend on its own is deterministic. ``benchmarks/bench_kernels.py``
-compares their throughput.
+The mixture fields are numpy only: they are the one implementation of the
+diffused-mixture math, which both the plain-array oracles and the graph-mode
+score primitive in ``oracles`` call. The MMD sums also have a numba-compiled
+twin. Its backend is chosen once at import: numba when it is importable and
+the environment variable ``SIMDISTILL_NO_NUMBA`` is unset/empty, numpy
+otherwise. Both MMD backends implement the same math and agree to
+floating-point round-off (reduction orders differ, so agreement is ~1e-12
+relative, not bit-exact); each backend on its own is deterministic.
+``benchmarks/bench_kernels.py`` compares their throughput.
 
 JIT compilation is serial with fastmath disabled: results must not depend on
 thread count or on value-unsafe reassociation.
@@ -109,94 +111,48 @@ def mmd_sums_numba(X: np.ndarray, Y: np.ndarray, bandwidths: np.ndarray) -> np.n
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-mixture diffused fields (log-density, score, posterior denoiser)
+# Gaussian-mixture diffused fields (log-density, responsibilities, scores)
 
 
-def gmm_fields_numpy(
+def gmm_fields(
     x: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
     log_weights: np.ndarray,
-    t2: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diffused-mixture log-density, score and posterior denoiser at x.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Diffused-mixture log-density and score at x, with their parts.
 
     Args:
         x: (n, d) evaluation points.
         means: (K, d) component means.
-        variances: (K,) per-component isotropic variances with the noise
-            already included (signal² + t²).
+        variances: per-component isotropic variances with the noise already
+            included (signal² + t²): shape (K,) when every row shares one
+            time, (n, K) for one time per row.
         log_weights: (K,) log mixing weights.
-        t2: squared noise level t², needed to split each variance back into
-            signal and noise for the posterior mean E[x0 | x].
 
     Returns:
-        (logdens (n,), score (n, d), denoiser (n, d)).
+        (logdens (n,), resp (n, K), comp (n, K, d), score (n, d)), where
+        resp are the posterior responsibilities r_k, comp the per-component
+        scores a_k = (μ_k − x)/v_k and score s = Σ_k r_k a_k. The score's
+        Jacobian, −(Σ_k r_k/v_k) I + Σ_k r_k a_k a_kᵀ − s sᵀ, needs nothing
+        else.
     """
     d = x.shape[1]
-    diffs = x[:, None, :] - means[None, :, :]  # (n, K, d)
-    sq = np.square(diffs).sum(axis=2)  # (n, K)
-    logits = log_weights[None, :] - 0.5 * d * np.log(2.0 * np.pi * variances)[None, :] - sq / (2.0 * variances[None, :])
+    comp = means[None, :, :] - x[:, None, :]  # (n, K, d)
+    sq = np.square(comp).sum(axis=2)  # (n, K)
+    logits = log_weights - 0.5 * d * np.log(2.0 * np.pi * variances) - sq / (2.0 * variances)
     peak = logits.max(axis=1, keepdims=True)
     w = np.exp(logits - peak)
     total = w.sum(axis=1, keepdims=True)
     logdens = (peak + np.log(total)).ravel()
-    resp = w / total  # (n, K)
-    score = -(resp[:, :, None] * diffs / variances[None, :, None]).sum(axis=1)
-    # E[x0|x] per component: (mu*t² + x*s²)/v with s² = v - t²
-    mean_coef = resp * (t2 / variances)[None, :]  # (n, K)
-    x_coef = (resp * ((variances - t2) / variances)[None, :]).sum(axis=1)  # (n,)
-    denoiser = mean_coef @ means + x_coef[:, None] * x
-    return logdens, score, denoiser
-
-
-@njit(cache=True)
-def _gmm_fields_jit(x, means, variances, log_weights, t2):  # pragma: no cover
-    n, d = x.shape
-    K = means.shape[0]
-    logdens = np.zeros(n)
-    score = np.zeros((n, d))
-    denoiser = np.zeros((n, d))
-    logits = np.zeros(K)
-    const = np.zeros(K)
-    for k in range(K):
-        const[k] = log_weights[k] - 0.5 * d * np.log(2.0 * np.pi * variances[k])
-    for i in range(n):
-        peak = -np.inf
-        for k in range(K):
-            sq = 0.0
-            for j in range(d):
-                diff = x[i, j] - means[k, j]
-                sq += diff * diff
-            logits[k] = const[k] - sq / (2.0 * variances[k])
-            if logits[k] > peak:
-                peak = logits[k]
-        total = 0.0
-        for k in range(K):
-            logits[k] = np.exp(logits[k] - peak)
-            total += logits[k]
-        logdens[i] = peak + np.log(total)
-        for k in range(K):
-            r = logits[k] / total
-            for j in range(d):
-                score[i, j] -= r * (x[i, j] - means[k, j]) / variances[k]
-                denoiser[i, j] += r * (means[k, j] * t2 + x[i, j] * (variances[k] - t2)) / variances[k]
-    return logdens, score, denoiser
-
-
-def gmm_fields_numba(x, means, variances, log_weights, t2):
-    return _gmm_fields_jit(
-        np.ascontiguousarray(x, dtype=np.float64),
-        np.ascontiguousarray(means, dtype=np.float64),
-        np.ascontiguousarray(variances, dtype=np.float64),
-        np.ascontiguousarray(log_weights, dtype=np.float64),
-        float(t2),
-    )
+    resp = w / total
+    comp /= variances[..., None]
+    score = (resp[:, :, None] * comp).sum(axis=1)
+    return logdens, resp, comp, score
 
 
 USING_NUMBA = HAS_NUMBA
 mmd_sums = mmd_sums_numba if USING_NUMBA else mmd_sums_numpy
-gmm_fields = gmm_fields_numba if USING_NUMBA else gmm_fields_numpy
 
 
 def backend_name() -> str:

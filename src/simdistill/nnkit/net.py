@@ -80,9 +80,6 @@ class MlpNet:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def n_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
@@ -116,12 +113,6 @@ class MlpNet:
             (Tensor(w.data, requires_grad=False), Tensor(b.data, requires_grad=False))
             for w, b in self.layers
         ]
-        return twin
-
-    def clone(self) -> "MlpNet":
-        """Independent deep copy (storage not shared)."""
-        twin = MlpNet(self.widths, self.activation, self.conditioning, self.zero_final, self.seed)
-        twin.load_state_dict(self.state_dict())
         return twin
 
     # -- forward ------------------------------------------------------------

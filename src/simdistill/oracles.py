@@ -24,7 +24,7 @@ from scipy import stats
 
 from . import distances as dist_mod
 from . import kernels
-from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, weight
+from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, denoiser_from_score, weight
 from .nnkit import tensor as T
 from .nnkit.tensor import Tensor
 
@@ -206,34 +206,43 @@ def gaussian_score_graph(spec: GaussianSpec, x: Tensor, t: float) -> Tensor:
 # isotropic GMM
 
 
-def _gmm_fields(spec: GmmSpec, x, t: float):
-    pts, single = _rows(x)
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    variances = spec.scales**2 + t * t
-    logdens, score, denoiser = kernels.gmm_fields(
-        pts, spec.means, variances, np.log(spec.weights), t * t
-    )
-    return logdens, score, denoiser, single
+def _diffused_variances(spec: GmmSpec, t) -> np.ndarray:
+    """Component variances s_k² + t²: (K,) for a scalar t, (n, K) for one t per row."""
+    t = np.asarray(t, dtype=np.float64)
+    if t.ndim > 1:
+        raise ValueError(f"time must be a scalar or one value per row, got shape {t.shape}")
+    if np.any(t < 0):
+        raise ValueError(f"time must be nonnegative, got {t!r}")
+    return spec.scales**2 + (t * t)[..., None]
+
+
+def _gmm_fields(spec: GmmSpec, pts: np.ndarray, t):
+    """Kernel outputs (logdens, resp, comp, score) at the rows of pts."""
+    return kernels.gmm_fields(pts, spec.means, _diffused_variances(spec, t), np.log(spec.weights))
+
+
+def _check_denoiser_time(t) -> None:
+    if np.any(np.asarray(t) <= 0):
+        raise ValueError(f"denoiser needs t > 0, got {t!r}")
 
 
 def gmm_score(spec: GmmSpec, x, t: float = 0.0) -> np.ndarray:
     """Score of the diffused mixture (variances s_k² + t²) at x."""
-    _, score, _, single = _gmm_fields(spec, x, t)
+    pts, single = _rows(x)
+    score = _gmm_fields(spec, pts, t)[3]
     return score[0] if single else score
 
 
 def gmm_denoiser(spec: GmmSpec, x_t, t: float) -> np.ndarray:
-    """Posterior mean E[x0 | x_t] of the diffused mixture."""
-    if float(t) <= 0:
-        raise ValueError(f"denoiser needs t > 0, got {t}")
-    _, _, den, single = _gmm_fields(spec, x_t, t)
-    return den[0] if single else den
+    """Posterior mean E[x0 | x_t] of the diffused mixture (Tweedie: x_t + t²·score)."""
+    _check_denoiser_time(t)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    return denoiser_from_score(gmm_score(spec, x_t, t), x_t, t)
 
 
 def gmm_log_density(spec: GmmSpec, x, t: float = 0.0):
-    logdens, _, _, single = _gmm_fields(spec, x, t)
+    pts, single = _rows(x)
+    logdens = _gmm_fields(spec, pts, t)[0]
     return float(logdens[0]) if single else logdens
 
 
@@ -247,52 +256,32 @@ def _as_graph_input(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def _gmm_graph_parts(spec: GmmSpec, x: Tensor, t):
-    """Per-component softmax numerators e_k (n,1) and shared denominator."""
-    x = _as_graph_input(x)
-    tf = np.asarray(t, dtype=np.float64)
-    if tf.ndim == 1:
-        tf = tf[:, None]
-    v = [spec.scales[k] ** 2 + tf * tf for k in range(spec.n_components)]  # scalars or (n,1)
-    d = spec.dim
-    logits = []
-    for k in range(spec.n_components):
-        diff = x - spec.means[k]
-        sq = T.reshape(T.tsum(T.square(diff), axis=1), (-1, 1))
-        const = np.log(spec.weights[k]) - 0.5 * d * np.log(2.0 * np.pi * v[k])
-        logits.append(sq * (-0.5 / v[k]) + const)
-    shift = np.maximum.reduce([l.data for l in logits])  # constant shift, exact for softmax
-    exps = [T.exp(l - shift) for l in logits]
-    denom = exps[0]
-    for e in exps[1:]:
-        denom = denom + e
-    return exps, denom, v
-
-
 def gmm_score_graph(spec: GmmSpec, x: Tensor, t) -> Tensor:
-    """Graph-mode mixture score; t scalar or one value per row."""
+    """Graph-mode mixture score as one tape node; t scalar or one value per row.
+
+    The score's Jacobian is the Hessian of log p_t,
+    −(Σ_k r_k/v_k) I + Σ_k r_k a_k a_kᵀ − s sᵀ, with responsibilities r_k and
+    per-component scores a_k = (μ_k − x)/v_k from the kernel. It is
+    symmetric, so the vector-Jacobian product applies it to g directly.
+    """
     x = _as_graph_input(x)
-    exps, denom, v = _gmm_graph_parts(spec, x, t)
-    num = exps[0] * ((spec.means[0] - x) / v[0])
-    for k in range(1, spec.n_components):
-        num = num + exps[k] * ((spec.means[k] - x) / v[k])
-    return num / denom
+    v = _diffused_variances(spec, t)
+    _, resp, comp, score = kernels.gmm_fields(x.data, spec.means, v, np.log(spec.weights))
+
+    def vjp(g):
+        g_comp = np.einsum("nkd,nd->nk", comp, g)
+        curvature = (resp / v).sum(axis=1, keepdims=True)
+        g_score = (g * score).sum(axis=1, keepdims=True)
+        return (np.einsum("nk,nkd->nd", resp * g_comp, comp) - curvature * g - g_score * score,)
+
+    return T.primitive(score, "gmm_score", (x,), vjp)
 
 
 def gmm_denoiser_graph(spec: GmmSpec, x_t: Tensor, t) -> Tensor:
-    """Graph-mode posterior mean E[x0 | x_t]; t scalar or per-row."""
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError(f"denoiser needs t > 0, got {t!r}")
+    """Graph-mode posterior mean E[x0 | x_t] = x_t + t²·score; t scalar or per-row."""
+    _check_denoiser_time(t)
     x_t = _as_graph_input(x_t)
-    exps, denom, v = _gmm_graph_parts(spec, x_t, t)
-    tf = np.asarray(t, dtype=np.float64)
-    if tf.ndim == 1:
-        tf = tf[:, None]
-    t2 = tf * tf
-    num = exps[0] * (x_t * ((v[0] - t2) / v[0]) + (t2 / v[0]) * spec.means[0])
-    for k in range(1, spec.n_components):
-        num = num + exps[k] * (x_t * ((v[k] - t2) / v[k]) + (t2 / v[k]) * spec.means[k])
-    return num / denom
+    return denoiser_from_score(gmm_score_graph(spec, x_t, t), x_t, t)
 
 
 # ---------------------------------------------------------------------------

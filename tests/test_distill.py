@@ -15,11 +15,10 @@ from simdistill.distill import (
     LinearTensorGenerator,
     PreconditionedDenoiser,
     build_generator,
-    denoiser_field,
     di_generator_loss,
     dsm_loss,
+    graph_field,
     run_distillation,
-    score_field,
     sid_delta_generator_loss,
     sim_generator_loss,
 )
@@ -49,7 +48,7 @@ class TestFixedPoint:
     @pytest.mark.parametrize("d", ALL_FNS, ids=lambda d: d.tag)
     def test_zero_loss_and_gradient_when_online_equals_teacher(self, form, d):
         gmm = ring_gmm()
-        fld = denoiser_field(gmm, SPEC) if form == "denoiser" else score_field(gmm, SPEC)
+        fld = graph_field(gmm, form)
         gen = tilted_linear_gen()
         loss = sim_generator_loss(gen, fld, fld, d, SPEC, TDIST, ONE, 64, make_rng(3), loss_form=form)
         grads = backward(loss, gen.parameters())
@@ -58,7 +57,7 @@ class TestFixedPoint:
 
     def test_fixed_point_with_detached_first_factor(self):
         gmm = ring_gmm()
-        fld = denoiser_field(gmm, SPEC)
+        fld = graph_field(gmm, "denoiser")
         gen = tilted_linear_gen()
         loss = sim_generator_loss(
             gen, fld, fld, DistanceFn.pseudo_huber(0.5), SPEC, TDIST, ONE, 64, make_rng(3),
@@ -74,8 +73,7 @@ class TestDeltaLossEquivalence:
     def test_generic_l2_matches_dedicated_path(self, form):
         gmm = ring_gmm()
         other = GaussianSpec(np.array([0.5, -0.3]), 0.7 * np.eye(2))
-        make = denoiser_field if form == "denoiser" else score_field
-        teacher, online = make(gmm, SPEC), make(other, SPEC)
+        teacher, online = graph_field(gmm, form), graph_field(other, form)
         gen = tilted_linear_gen()
         la = sim_generator_loss(
             gen, online, teacher, DistanceFn.l2(), SPEC, TDIST, WeightingFn.edm(), 128,
@@ -98,8 +96,7 @@ class TestGradientAgainstFiniteDifferences:
         # common random numbers, finite-differenced over the flat (A, b)
         gmm = ring_gmm()
         other = GaussianSpec(np.array([0.5, -0.3]), 0.7 * np.eye(2))
-        make = denoiser_field if form == "denoiser" else score_field
-        teacher, online = make(gmm, SPEC), make(other, SPEC)
+        teacher, online = graph_field(gmm, form), graph_field(other, form)
         tdist = TimeDistribution.fixed_grid((0.5, 1.0, 2.0))
 
         def loss_at(theta, seed=91):
@@ -128,7 +125,7 @@ class TestFirstFactorFlag:
     def test_detaching_changes_gradient_not_value(self):
         gmm = ring_gmm()
         other = GaussianSpec(np.array([1.0, 0.0]), np.eye(2))
-        teacher, online = denoiser_field(gmm, SPEC), denoiser_field(other, SPEC)
+        teacher, online = graph_field(gmm, "denoiser"), graph_field(other, "denoiser")
         gen = tilted_linear_gen()
         args = (gen, online, teacher, DistanceFn.pseudo_huber(0.5), SPEC, TDIST, ONE, 128)
         la = sim_generator_loss(*args, make_rng(17), first_factor_grad=True)
@@ -143,7 +140,7 @@ class TestEnvelope:
     def test_pseudo_huber_per_sample_bound_reported(self):
         gmm = ring_gmm()
         other = GaussianSpec(np.array([2.0, 1.0]), 2.0 * np.eye(2))
-        teacher, online = denoiser_field(gmm, SPEC), denoiser_field(other, SPEC)
+        teacher, online = graph_field(gmm, "denoiser"), graph_field(other, "denoiser")
         gen = tilted_linear_gen()
         info = {}
         sim_generator_loss(
@@ -159,8 +156,8 @@ class TestDiBaseline:
         # generator sits at +2, teacher at 0; the online field equals the
         # generator's own distribution, so the b-gradient must be positive
         # (gradient descent then moves b down toward the teacher).
-        teacher = score_field(GaussianSpec(np.zeros(1), np.eye(1)), SPEC)
-        online = score_field(GaussianSpec(np.array([2.0]), np.eye(1)), SPEC)
+        teacher = graph_field(GaussianSpec(np.zeros(1), np.eye(1)), "score")
+        online = graph_field(GaussianSpec(np.array([2.0]), np.eye(1)), "score")
         gen = LinearTensorGenerator(np.eye(1), np.array([2.0]))
         loss = di_generator_loss(gen, online, teacher, SPEC, TDIST, ONE, 512, make_rng(23))
         _, gb = backward(loss, gen.parameters())
@@ -346,7 +343,7 @@ class TestRunDistillation:
         gmm = ring_gmm()
         cfg = DistillConfig(gen_steps=10, **self.CFG)
         res = run_distillation(cfg, gmm, gmm, seed=11)
-        assert [r.step for r in res.rows] == [5, 10, 10]  # cadence + final
+        assert [r.step for r in res.rows] == [5, 10]  # cadence, then the final row
         assert all(r.seconds == 0.0 for r in res.rows)
         assert all(np.isfinite(r.mmd) for r in res.rows)
         assert all(0.0 <= r.mode_coverage <= 1.0 for r in res.rows)
@@ -385,7 +382,7 @@ class TestRunDistillation:
             gen_time_dist=TimeDistribution.log_normal(0.0, 0.5), **self.CFG,
         )
         res = run_distillation(cfg, gmm, gmm, seed=19)
-        assert len(res.rows) == 2
+        assert [r.step for r in res.rows] == [5]  # the final row only
 
     def test_step_callback_sees_every_step(self):
         gmm = ring_gmm()

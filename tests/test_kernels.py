@@ -1,5 +1,5 @@
-"""Compiled-kernel backends: numpy/numba agreement, env-flag fallback,
-determinism.
+"""Numeric kernels: MMD numpy/numba agreement, env-flag fallback,
+determinism, and the mixture fields against brute force.
 """
 
 import os
@@ -80,43 +80,43 @@ class TestMmdSums:
 class TestGmmFields:
     def _inputs(self):
         # kernel convention: variances arrive with the noise folded in
-        # (signal² + t²) and t² is passed separately as a scalar
+        # (signal² + t²)
         rng = make_rng(4)
         x = rng.standard_normal((40, 2)) * 3
         means = np.array([[2.0, 0.0], [-2.0, 1.0], [0.0, -2.0]])
-        t2 = 0.81
-        diffused = np.array([0.25, 0.49, 1.0]) + t2
+        diffused = np.array([0.25, 0.49, 1.0]) + 0.81
         log_w = np.log(np.array([0.2, 0.5, 0.3]))
-        return x, means, diffused, log_w, t2
-
-    def test_backends_agree(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba not importable in this environment")
-        args = self._inputs()
-        for a, b in zip(kernels.gmm_fields_numpy(*args), kernels.gmm_fields_numba(*args)):
-            assert rel_diff(a, b) <= 1e-12
+        return x, means, diffused, log_w
 
     def test_matches_brute_force(self):
-        x, means, diffused, log_w, t2 = self._inputs()
-        logdens, score, denoiser = kernels.gmm_fields_numpy(x, means, diffused, log_w, t2)
+        x, means, diffused, log_w = self._inputs()
+        logdens, resp, comp, score = kernels.gmm_fields(x, means, diffused, log_w)
         from scipy.stats import multivariate_normal
 
-        dens_ref = sum(
-            np.exp(log_w[k]) * multivariate_normal(means[k], diffused[k] * np.eye(2)).pdf(x)
-            for k in range(3)
+        dens_k = np.stack(
+            [np.exp(log_w[k]) * multivariate_normal(means[k], diffused[k] * np.eye(2)).pdf(x) for k in range(3)],
+            axis=1,
         )
-        np.testing.assert_allclose(logdens, np.log(dens_ref), rtol=1e-10)
+        np.testing.assert_allclose(logdens, np.log(dens_k.sum(axis=1)), rtol=1e-10)
+        np.testing.assert_allclose(resp, dens_k / dens_k.sum(axis=1, keepdims=True), rtol=1e-10)
+        np.testing.assert_allclose(comp, (means[None] - x[:, None]) / diffused[None, :, None], rtol=1e-14)
+        np.testing.assert_allclose(score, (resp[:, :, None] * comp).sum(axis=1), rtol=1e-14)
         # FD score on the first few points
         h = 1e-6
         for i in range(5):
             for j in range(2):
                 e = np.zeros(2)
                 e[j] = h
-                lp = kernels.gmm_fields_numpy((x[i] + e)[None], means, diffused, log_w, t2)[0][0]
-                lm = kernels.gmm_fields_numpy((x[i] - e)[None], means, diffused, log_w, t2)[0][0]
+                lp = kernels.gmm_fields((x[i] + e)[None], means, diffused, log_w)[0][0]
+                lm = kernels.gmm_fields((x[i] - e)[None], means, diffused, log_w)[0][0]
                 assert score[i, j] == pytest.approx((lp - lm) / (2 * h), rel=1e-5, abs=1e-7)
-        # Tweedie: denoiser == x + t²·score
-        np.testing.assert_allclose(denoiser, x + t2 * score, rtol=1e-10, atol=1e-12)
+        # one variance row per point gives each row its own scalar-variance answer
+        per_row = diffused[None, :] * np.linspace(0.5, 4.0, len(x))[:, None]
+        batched = kernels.gmm_fields(x, means, per_row, log_w)
+        for i in (0, 17, 39):
+            single = kernels.gmm_fields(x[i : i + 1], means, per_row[i], log_w)
+            for a, b in zip(batched, single):
+                np.testing.assert_allclose(a[i : i + 1], b, rtol=1e-14)
 
 
 class TestBackendSelection:

@@ -7,7 +7,7 @@ import pytest
 
 from simdistill.diffusion import DiffusionSpec, TimeDistribution, WeightingFn, karras_grid
 from simdistill.distances import DistanceFn
-from simdistill.nnkit import Tensor, backward
+from simdistill.nnkit import Tape, Tensor, backward
 from simdistill.oracles import (
     DivergenceEstimate,
     GaussianSpec,
@@ -174,24 +174,47 @@ class TestGmm:
         np.testing.assert_allclose(out, rows, rtol=1e-12)
 
     def test_graph_gradient_matches_fd(self):
+        # score and denoiser, at one shared t and at per-row t across the
+        # whole schedule range [0.002, 80]
         gmm = GmmSpec(np.array([0.4, 0.6]), np.array([[1.0, 0.0], [-1.0, 1.0]]), 0.7)
         rng = make_rng(22)
-        x = rng.standard_normal((4, 2))
-        weights = rng.standard_normal((4, 2))
-
-        def scalarize(xa):
-            return float((gmm_score(gmm, xa, 0.8) * weights).sum())
-
-        xt = Tensor(x, requires_grad=True)
-        loss = (gmm_score_graph(gmm, xt, 0.8) * weights).sum()
-        (g,) = backward(loss, [xt])
+        x = rng.standard_normal((6, 2))
+        weights = rng.standard_normal((6, 2))
+        per_row = np.array([0.002, 0.05, 0.8, 3.0, 20.0, 80.0])
+        cases = [
+            (gmm_score_graph, gmm_score, 0.8),
+            (gmm_denoiser_graph, gmm_denoiser, 0.8),
+            (gmm_score_graph, gmm_score, per_row),
+            (gmm_denoiser_graph, gmm_denoiser, per_row),
+        ]
         h = 1e-6
-        fd = np.zeros_like(x)
-        for i in range(x.size):
-            e = np.zeros_like(x)
-            e.flat[i] = h
-            fd.flat[i] = (scalarize(x + e) - scalarize(x - e)) / (2 * h)
-        np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
+        for graph_fn, numpy_fn, t in cases:
+
+            def scalarize(xa):
+                rows = [numpy_fn(gmm, xa[i], np.broadcast_to(t, len(xa))[i]) for i in range(len(xa))]
+                return float((np.stack(rows) * weights).sum())
+
+            xt = Tensor(x, requires_grad=True)
+            loss = (graph_fn(gmm, xt, t) * weights).sum()
+            (g,) = backward(loss, [xt])
+            fd = np.zeros_like(x)
+            for i in range(x.size):
+                e = np.zeros_like(x)
+                e.flat[i] = h
+                fd.flat[i] = (scalarize(x + e) - scalarize(x - e)) / (2 * h)
+            np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-7)
+
+    def test_graph_tape_length_independent_of_components(self):
+        rng = make_rng(24)
+        x = rng.standard_normal((5, 2))
+        t = np.array([0.01, 0.1, 1.0, 10.0, 80.0])
+        lengths = []
+        for k in (2, 32):
+            gmm = ring_gmm(n_modes=k)
+            for fn in (gmm_score_graph, gmm_denoiser_graph):
+                xt = Tensor(x, requires_grad=True)
+                lengths.append(len(Tape.trace(fn(gmm, xt, t).sum())))
+        assert lengths[:2] == lengths[2:]
 
     def test_ring_gmm_geometry(self):
         gmm = ring_gmm(n_modes=8, radius=4.0, scale=0.3)

@@ -9,7 +9,8 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from simdistill.distances import DistanceFn
 from simdistill.distill import sim_generator_loss
-from simdistill.oracles import GaussianSpec, GmmSpec, LinearGenerator
+from simdistill.nnkit import tensor as T
+from simdistill.oracles import GaussianSpec, GmmSpec, LinearGenerator, gmm_score_graph
 from simdistill.rng import make_rng
 from simdistill.verify import (
     U_TAGS,
@@ -333,6 +334,31 @@ class TestGradcheckSuite:
         assert len(planted) == 1
         assert planted[0].verdict == "fail"
         assert planted[0].estimate[0] > 0.1
+
+    def test_planted_gmm_score_vjp_is_caught(self):
+        # the mixture score primitive passes; the same forward whose VJP drops
+        # the −s sᵀ term of the Hessian must fail
+        mix = GmmSpec(np.array([0.3, 0.7]), np.array([[1.5, 0.0], [-1.0, 1.0]]), 0.6)
+        t = np.array([0.05, 0.5, 1.0, 4.0])
+
+        def planted(x):
+            good = gmm_score_graph(mix, x, t)
+            s = good.data
+
+            def vjp(g):
+                return (good.vjp(g)[0] + (g * s).sum(axis=1, keepdims=True) * s,)
+
+            return T.primitive(s, "gmm-score-planted", (x,), vjp)
+
+        points = [lambda r: 2.0 * r.standard_normal((4, 2))]
+        cases = {
+            "gmm-score": (lambda x: gmm_score_graph(mix, x, t), points),
+            "gmm-score-planted": (planted, points),
+        }
+        reports = {r.name: r for r in gradcheck_suite(seed=0, probes=5, cases=cases)}
+        assert reports["gradcheck-gmm-score"].passed
+        assert reports["gradcheck-gmm-score-planted"].verdict == "fail"
+        assert reports["gradcheck-gmm-score-planted"].estimate[0] > 0.1
 
     def test_same_seed_reproduces_estimates(self):
         a = gradcheck_suite(seed=3, probes=3)
