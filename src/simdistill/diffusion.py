@@ -240,24 +240,6 @@ def _sid_weight_from_norms(C: float, t, l1: np.ndarray):
     return np.minimum(raw, SID_WEIGHT_CAP)
 
 
-def weight(fn: WeightingFn, t: float, x0=None, denoised=None) -> float:
-    """Scalar weight at time t (one sample's worth for the sid kind)."""
-    if fn.kind == "one":
-        return 1.0
-    if np.any(np.asarray(t) <= 0):
-        raise ValueError(f"time must be positive, got {t!r}")
-    if fn.kind == "edm":
-        sd = fn.sigma_data
-        return float((t * t + sd * sd) / (t * sd) ** 2)
-    if x0 is None or denoised is None:
-        raise ValueError("sid weighting requires x0 and denoised")
-    x0a = x0.data if isinstance(x0, Tensor) else np.asarray(x0, dtype=np.float64)
-    da = denoised.data if isinstance(denoised, Tensor) else np.asarray(denoised, dtype=np.float64)
-    C = fn.C if fn.C is not None else float(x0a.shape[-1])
-    l1 = np.abs(x0a - da).sum()
-    return float(_sid_weight_from_norms(C, t, np.asarray(l1)))
-
-
 def weight_batch(fn: WeightingFn, t, x0=None, denoised=None) -> np.ndarray:
     """Per-row weights for a batch; t scalar or one value per row.
 

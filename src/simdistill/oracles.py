@@ -24,7 +24,7 @@ from scipy import stats
 
 from . import distances as dist_mod
 from . import kernels
-from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, denoiser_from_score, weight
+from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, denoiser_from_score, weight_batch
 from .nnkit import tensor as T
 from .nnkit.tensor import Tensor
 
@@ -433,7 +433,7 @@ def divergence_value(
         x_t = x0 + float(t) * rng.standard_normal(x0.shape)
         delta = marginal_score(p, x_t, float(t)) - marginal_score(q, x_t, float(t))
         dv = np.atleast_1d(d.value(delta))
-        wt = weight(w, float(t))
+        wt = float(weight_batch(w, t)[0])
         total += wt * dv.mean()
         if n_mc > 1:
             var_total += wt * wt * dv.var(ddof=1) / n_mc

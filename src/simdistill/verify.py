@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .diffusion import DiffusionSpec, WeightingFn, cond_score, weight
+from .diffusion import DiffusionSpec, WeightingFn, cond_score
 from .distances import TAGS, DistanceFn, derivative as dist_derivative, value as dist_value
-from .distill import LinearTensorGenerator, sim_generator_loss
+from .distill import LinearTensorGenerator, graph_field, sim_generator_loss
 from .diffusion import TimeDistribution
 from .nnkit import MlpNet, Tensor, backward
 from .nnkit import tensor as T
@@ -34,7 +34,6 @@ from .oracles import (
     LinearGenerator,
     divergence_value,
     gaussian_score_graph,
-    gmm_score_graph,
     linear_gen_score_graph,
     marginal_score,
     sample_clean,
@@ -207,14 +206,14 @@ def _scalar_t(t) -> float:
     raise ValueError("this analytic field supports one time level per call")
 
 
-def _frozen_score_field(family, dspec: DiffusionSpec):
+def _frozen_score_field(family):
     """Analytic marginal score as a frozen graph callable f(x_t, t)."""
     if isinstance(family, LinearGenerator):
         return lambda x, t: linear_gen_score_graph(family, x, _scalar_t(t))
     if isinstance(family, GaussianSpec):
         return lambda x, t: gaussian_score_graph(family, x, _scalar_t(t))
     if isinstance(family, GmmSpec):
-        return lambda x, t: gmm_score_graph(family, x, t)
+        return graph_field(family, "score")
     raise TypeError(f"no analytic score field for {type(family).__name__}")
 
 
@@ -269,8 +268,8 @@ def check_theorem1(
     fd_seeds = streams["fd"].integers(2**31, size=replicates)
     ad_seeds = streams["autodiff"].integers(2**31, size=replicates)
 
-    online = _frozen_score_field(p, dspec)
-    teacher = _frozen_score_field(q, dspec)
+    online = _frozen_score_field(p)
+    teacher = _frozen_score_field(q)
 
     rhs = np.zeros((replicates, n_par))
     for r in range(replicates):

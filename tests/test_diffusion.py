@@ -21,7 +21,6 @@ from simdistill.diffusion import (
     sample_time,
     sample_times,
     score_from_denoiser,
-    weight,
     weight_batch,
 )
 from simdistill.rng import make_rng
@@ -202,33 +201,33 @@ class TestTimeDistributions:
 
 class TestWeightings:
     def test_one(self):
-        assert weight(WeightingFn.one(), 2.0) == 1.0
+        assert np.array_equal(weight_batch(WeightingFn.one(), 2.0), [1.0])
 
     def test_edm_hand_value(self):
         # (t² + σ_d²)/(t σ_d)² with σ_d=0.5, t=2 -> (4+0.25)/1 = 4.25
-        assert weight(WeightingFn.edm(sigma_data=0.5), 2.0) == pytest.approx(4.25, rel=1e-15)
+        assert weight_batch(WeightingFn.edm(sigma_data=0.5), 2.0)[0] == pytest.approx(4.25, rel=1e-15)
 
     def test_sid_hand_value(self):
         # C·t⁴/‖x0−denoised‖₁ with C=2, t=1, l1=4 -> 0.5
-        x0 = np.array([1.0, 2.0])
-        den = np.array([3.0, 4.0])  # l1 distance 4
-        assert weight(WeightingFn.sid(C=2.0), 1.0, x0=x0, denoised=den) == pytest.approx(0.5, rel=1e-15)
+        x0 = np.array([[1.0, 2.0]])
+        den = np.array([[3.0, 4.0]])  # l1 distance 4
+        assert weight_batch(WeightingFn.sid(C=2.0), 1.0, x0=x0, denoised=den)[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_sid_default_C_is_data_dim(self):
-        x0 = np.zeros(3)
-        den = np.ones(3)  # l1 = 3
+        x0 = np.zeros((1, 3))
+        den = np.ones((1, 3))  # l1 = 3
         # C=3 default, t=1 -> 3/3 = 1
-        assert weight(WeightingFn.sid(), 1.0, x0=x0, denoised=den) == pytest.approx(1.0, rel=1e-15)
+        assert weight_batch(WeightingFn.sid(), 1.0, x0=x0, denoised=den)[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_sid_zero_denominator_caps_and_warns(self):
-        x0 = np.ones(2)
+        x0 = np.ones((1, 2))
         with pytest.warns(RuntimeWarning, match="clamped"):
-            w = weight(WeightingFn.sid(C=2.0), 1.0, x0=x0, denoised=x0.copy())
-        assert w == SID_WEIGHT_CAP
+            w = weight_batch(WeightingFn.sid(C=2.0), 1.0, x0=x0, denoised=x0.copy())
+        assert np.array_equal(w, [SID_WEIGHT_CAP])
 
     def test_sid_requires_both_fields(self):
         with pytest.raises(ValueError):
-            weight(WeightingFn.sid(), 1.0, x0=np.ones(2), denoised=None)
+            weight_batch(WeightingFn.sid(), 1.0, x0=np.ones((1, 2)), denoised=None)
 
     def test_positive_for_positive_t(self):
         rng = make_rng(2)
@@ -248,4 +247,4 @@ class TestWeightings:
         fn = WeightingFn.edm()
         t = np.array([0.1, 1.0, 7.0])
         w = weight_batch(fn, t)
-        np.testing.assert_allclose(w, [weight(fn, ti) for ti in t], rtol=1e-15)
+        np.testing.assert_allclose(w, [weight_batch(fn, ti)[0] for ti in t], rtol=1e-15)
