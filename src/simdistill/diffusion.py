@@ -12,7 +12,7 @@ Time may be a scalar or one value per batch row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

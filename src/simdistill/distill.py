@@ -116,7 +116,7 @@ class MlpGenerator:
         return self.net(z)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.net(self.sample_latent(rng, n)).data
+        return self.net.predict(self.sample_latent(rng, n))
 
 
 class DenoiserGenerator:
@@ -141,7 +141,7 @@ class DenoiserGenerator:
         return self.net(z, self.t_star)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.net(self.sample_latent(rng, n), self.t_star).data
+        return self.net.predict(self.sample_latent(rng, n), self.t_star)
 
 
 class LinearTensorGenerator:
@@ -170,7 +170,7 @@ class LinearTensorGenerator:
         return rng.standard_normal((n, self.latent_dim))
 
     def forward(self, z: np.ndarray) -> Tensor:
-        return T.matmul(Tensor(z), self.W) + self.b
+        return T.dense(Tensor(z), self.W, self.b)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.sample_latent(rng, n) @ self.W.data + self.b.data

@@ -57,8 +57,25 @@ def median_heuristic_bandwidths(X: np.ndarray, Y: np.ndarray, factors=BANDWIDTH_
     """
     pooled = np.vstack([np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)])
     stride = max(1, int(np.ceil(pooled.shape[0] / _MEDIAN_SUBSAMPLE)))
-    med = float(np.median(pdist(pooled[::stride])))
+    med = _median_in_place(pdist(pooled[::stride]))
     return np.maximum(np.asarray(factors, dtype=np.float64) * med, BANDWIDTH_FLOOR)
+
+
+def _median_in_place(d: np.ndarray) -> float:
+    """``np.median(d)`` to the bit, partitioning ``d`` itself instead of a copy.
+
+    NaN sorts last, so a NaN anywhere leaves one at or after the pivot, and
+    the result is NaN as with ``np.median``.
+    """
+    if d.size == 0:
+        return float("nan")
+    k = d.size // 2
+    d.partition(k)
+    if np.isnan(d[k:].max()):
+        return float("nan")
+    if d.size % 2:
+        return float(d[k])
+    return float(np.mean([d[:k].max(), d[k]]))
 
 
 def mmd_rbf(X, Y, bandwidths=None, unbiased: bool = True) -> float:

@@ -13,6 +13,13 @@ from . import tensor as T
 from .tensor import Tensor
 
 ACTIVATIONS = {"relu": T.relu, "silu": T.silu, "tanh": T.tanh}
+# the same elementwise ops as ACTIVATIONS, written into their argument
+_INPLACE_ACTIVATIONS = {
+    "relu": lambda h: np.maximum(h, 0.0, out=h),
+    "silu": lambda h: np.multiply(h, T._sigmoid(h), out=h),
+    "tanh": lambda h: np.tanh(h, out=h),
+}
+_BLOCK_ROWS = 256  # 256 rows of a 64-wide layer: 128 KiB, within L2
 CONDITIONINGS = ("raw", "concat-t", "concat-log-t")
 
 
@@ -117,40 +124,63 @@ class MlpNet:
 
     # -- forward ------------------------------------------------------------
 
-    def _time_column(self, t, n: int) -> Tensor:
-        if isinstance(t, Tensor):
-            col = T.reshape(t, (-1, 1)) if t.data.ndim >= 1 else T.reshape(t, (1, 1))
-            if col.shape[0] == 1 and n > 1:
-                col = T.broadcast_to(col, (n, 1))
-        else:
-            arr = np.asarray(t, dtype=np.float64).reshape(-1, 1)
-            if arr.shape[0] == 1 and n > 1:
-                arr = np.broadcast_to(arr, (n, 1))
-            col = Tensor(arr)
-        if col.shape[0] != n:
-            raise ValueError(f"time input has {col.shape[0]} rows, batch has {n}")
-        if self.conditioning == "concat-log-t":
-            col = T.log(col)
-        return col
-
-    def __call__(self, x, t=None) -> Tensor:
-        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        if h.data.ndim != 2:
-            raise ValueError(f"expected a (batch, features) input, got shape {h.shape}")
-        if h.shape[1] != self.widths[0]:
-            raise ValueError(f"input has {h.shape[1]} features, network expects {self.widths[0]}")
+    def _check_input(self, shape: tuple[int, ...], t) -> None:
+        """Raise on an input the layer chain cannot take; both forwards call it."""
+        if len(shape) != 2:
+            raise ValueError(f"expected a (batch, features) input, got shape {shape}")
+        if shape[1] != self.widths[0]:
+            raise ValueError(f"input has {shape[1]} features, network expects {self.widths[0]}")
+        width = shape[1]
         if self.conditioning != "raw":
             if t is None:
                 raise ValueError(f"conditioning {self.conditioning!r} requires a time input")
-            h = T.concat([h, self._time_column(t, h.shape[0])], axis=1)
+            rows = np.size(t)
+            if rows != shape[0] and not (rows == 1 and shape[0] > 1):
+                raise ValueError(f"time input has {rows} rows, batch has {shape[0]}")
+            width += 1
+        for i, (w, _) in enumerate(self.layers):
+            if width != w.shape[0]:
+                raise ValueError(f"layer{i}: got {width} input features, weight expects {w.shape[0]}")
+            width = w.shape[1]
+
+    def _time_column(self, t, n: int) -> np.ndarray:
+        """``t`` as an (n, 1) column, logged under ``concat-log-t``."""
+        col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))
+        return np.log(col) if self.conditioning == "concat-log-t" else col
+
+    def __call__(self, x, t=None) -> Tensor:
+        """Forward pass on the tape; ``t`` is a scalar or one value per row."""
+        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        self._check_input(h.shape, t)
+        if self.conditioning != "raw":
+            h = T.concat([h, Tensor(self._time_column(t, h.shape[0]))], axis=1)
         act = ACTIVATIONS[self.activation]
         last = len(self.layers) - 1
         for i, (w, b) in enumerate(self.layers):
-            if h.shape[1] != w.shape[0]:
-                raise ValueError(
-                    f"layer{i}: got {h.shape[1]} input features, weight expects {w.shape[0]}"
-                )
-            h = T.add(T.matmul(h, w), b)
+            h = T.dense(h, w, b)
             if i != last:
                 h = act(h)
+        return h
+
+    def predict(self, x, t=None) -> np.ndarray:
+        """The forward pass on plain arrays, recording nothing.
+
+        Bit-identical to ``self(x, t).data``: each layer runs one full-batch
+        matmul (row chunks of it would not be bit-identical), then adds the
+        bias and applies the activation in place over blocks of
+        ``_BLOCK_ROWS`` rows, so each block stays in cache between the ops.
+        """
+        h = np.asarray(x, dtype=np.float64)
+        self._check_input(h.shape, t)
+        if self.conditioning != "raw":
+            h = np.concatenate([h, self._time_column(t, h.shape[0])], axis=1)
+        act = _INPLACE_ACTIVATIONS[self.activation]
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            h = h @ w.data
+            for lo in range(0, h.shape[0], _BLOCK_ROWS):
+                blk = h[lo : lo + _BLOCK_ROWS]
+                blk += b.data
+                if i != last:
+                    act(blk)
         return h

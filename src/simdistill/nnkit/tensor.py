@@ -7,6 +7,11 @@ primitives reachable from a root; ``backward`` replays it in reverse. Replays
 are pure: running backward twice on an unchanged tape produces bit-identical
 gradients.
 
+Layers record one node each through :func:`dense` (matmul plus bias, in
+place), whose VJP computes no gradient for an operand that needs none. A
+forward that is never differentiated does not belong on the tape at all:
+``MlpNet.predict`` runs it on plain arrays.
+
 Conventions baked in here and relied on elsewhere:
   - all data is float64, row-major;
   - broadcasting follows numpy; backward sums gradients over broadcast axes;
@@ -138,7 +143,8 @@ def primitive(data, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
     """Record an operation defined outside this module as one tape node.
 
     ``vjp(g)`` returns one gradient per parent, as for the built-in
-    primitives; it is kept only when some parent requires gradients.
+    primitives, or ``None`` for a parent that requires none; it is kept only
+    when some parent requires gradients.
     """
     return _make(data, op, parents, vjp)
 
@@ -189,6 +195,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
     return _make(out, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node, the bias added in place.
+
+    The same ops as ``add(matmul(x, w), b)``, so the output and gradients
+    are bit-identical to that pair; the VJP returns ``None`` for an operand
+    that needs no gradient and skips its product.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ValueError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
+    out = x.data @ w.data
+    out += b.data
+
+    def vjp(g):
+        return (
+            g @ w.data.T if x.requires_grad else None,
+            x.data.T @ g if w.requires_grad else None,
+            _unbroadcast(g, b.shape) if b.requires_grad else None,
+        )
+
+    return _make(out, "dense", (x, w, b), vjp)
 
 
 def square(a: Tensor) -> Tensor:

@@ -17,15 +17,14 @@ primitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .diffusion import DiffusionSpec, WeightingFn, cond_score
-from .distances import TAGS, DistanceFn, derivative as dist_derivative, value as dist_value
+from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, cond_score
+from .distances import DistanceFn, derivative as dist_derivative, value as dist_value
 from .distill import LinearTensorGenerator, graph_field, sim_generator_loss
-from .diffusion import TimeDistribution
 from .nnkit import MlpNet, Tensor, backward
 from .nnkit import tensor as T
 from .oracles import (
@@ -136,9 +135,7 @@ def _test_function(u: str, dim: int, seed: int):
     if u == "ones":
         return lambda x: np.ones_like(x)
     if u == "net":
-        net = MlpNet([dim, 32, dim], conditioning="raw", seed=seed)
-        frozen = net.detached()
-        return lambda x: frozen(x).data
+        return MlpNet([dim, 32, dim], conditioning="raw", seed=seed).predict
     raise ValueError(f"unknown test-function tag {u!r}; expected one of {U_TAGS}")
 
 

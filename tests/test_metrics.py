@@ -9,6 +9,7 @@ from simdistill.metrics import (
     MetricRow,
     gaussian_w2,
     gaussian_w2_moments,
+    _median_in_place,
     median_heuristic_bandwidths,
     mmd_permutation_null,
     mmd_rbf,
@@ -32,6 +33,24 @@ class TestBandwidths:
         X = np.zeros((50, 2))
         bw = median_heuristic_bandwidths(X, X)
         assert np.all(bw >= BANDWIDTH_FLOOR * min(BANDWIDTH_FACTORS))
+
+    @pytest.mark.parametrize("n_points", [6, 7, 8, 64, 65])  # odd and even distance counts
+    @pytest.mark.parametrize("kind", ["plain", "ties", "nan-row"])
+    def test_in_place_median_matches_numpy(self, n_points, kind):
+        from scipy.spatial.distance import pdist
+
+        X = make_rng(n_points).standard_normal((n_points, 2))
+        if kind == "ties":
+            X = np.round(X)  # integer grid: many equal distances
+        elif kind == "nan-row":
+            X[n_points // 2] = np.nan
+        d = pdist(X)
+        expected = np.median(d)
+        got = _median_in_place(d)
+        if kind == "nan-row":
+            assert np.isnan(expected) and np.isnan(got)
+        else:
+            assert got == expected
 
     def test_subsampling_is_deterministic(self):
         rng = make_rng(1)

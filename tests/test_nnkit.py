@@ -195,7 +195,8 @@ def straight_line_forward(net, x, t):
     """Pure-numpy mirror of MlpNet.__call__ for oracle comparison."""
     h = np.asarray(x, dtype=np.float64)
     if net.conditioning != "raw":
-        col = np.full((h.shape[0], 1), float(t))
+        col = np.empty((h.shape[0], 1))
+        col[:, 0] = t  # a scalar or one time per row
         if net.conditioning == "concat-log-t":
             col = np.log(col)
         h = np.concatenate([h, col], axis=1)
@@ -228,6 +229,103 @@ def test_mlp_forward_matches_straight_line_numpy(activation, conditioning):
     out = net(x, 0.8) if conditioning != "raw" else net(x)
     ref = straight_line_forward(net, x, 0.8)
     assert np.array_equal(out.data, ref)
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 10_000])
+@pytest.mark.parametrize("per_row_t", [False, True])
+@pytest.mark.parametrize("conditioning", ["raw", "concat-t", "concat-log-t"])
+@pytest.mark.parametrize("activation", ["relu", "silu", "tanh"])
+def test_mlp_predict_is_bit_identical_to_tape_forward(activation, conditioning, per_row_t, n):
+    # batch sizes straddle the 256-row blocks of the in-place activation
+    net = MlpNet([2, 64, 64, 2], activation=activation, conditioning=conditioning, seed=8)
+    rng = np.random.default_rng(n)
+    x = 3.0 * rng.normal(size=(n, 2))
+    t = rng.uniform(0.01, 5.0, size=n) if per_row_t else 0.8
+    out = net.predict(x, t)
+    assert isinstance(out, np.ndarray)
+    assert np.array_equal(out, net(x, t).data)
+    assert np.array_equal(out, straight_line_forward(net, x, t))
+
+
+def _error_message(fn):
+    with pytest.raises(ValueError) as exc:
+        fn()
+    return str(exc.value)
+
+
+def test_mlp_predict_raises_what_the_tape_forward_raises():
+    cond = MlpNet([2, 8, 2], conditioning="concat-t", seed=0)
+    broken = MlpNet([2, 8, 2], seed=0)
+    broken.layers[1] = (Tensor(np.zeros((5, 2))), Tensor(np.zeros(2)))
+    cases = [
+        (cond, np.ones(4), 1.0),  # not (batch, features)
+        (cond, np.ones((4, 3)), 1.0),  # wrong feature count
+        (cond, np.ones((4, 2)), None),  # time missing
+        (cond, np.ones((4, 2)), np.ones(3)),  # time rows do not match the batch
+        (broken, np.ones((4, 2)), None),  # a layer that does not fit its input
+    ]
+    messages = []
+    for net, x, t in cases:
+        msg = _error_message(lambda: net(x, t))
+        assert _error_message(lambda: net.predict(x, t)) == msg
+        messages.append(msg)
+    assert "layer1" in messages[-1]
+    assert len(set(messages)) == len(cases)
+
+
+def test_mlp_forward_records_one_dense_node_per_layer():
+    net = MlpNet([2, 16, 16, 16, 2], conditioning="concat-log-t", seed=3)
+    tape = Tape.trace(T.tsum(net(np.ones((5, 2)), 0.5)))
+    ops = [node.op for node in tape.nodes]
+    assert ops.count("dense") == len(net.layers)
+    assert "matmul" not in ops and "add" not in ops
+
+
+def test_dense_matches_matmul_plus_bias_to_the_bit():
+    rng = np.random.default_rng(11)
+    arrays = [rng.normal(size=(300, 3)), rng.normal(size=(3, 64)), rng.normal(size=64)]
+    outs, grads = [], []
+    for fused in (True, False):
+        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
+        out = T.dense(x, w, b) if fused else T.add(T.matmul(x, w), b)
+        outs.append(out.data)
+        grads.append(backward(T.tsum(T.silu(out)), [x, w, b]))
+    assert np.array_equal(outs[0], outs[1])
+    for g_fused, g_pair in zip(*grads):
+        assert np.array_equal(g_fused, g_pair)
+
+
+def test_dense_gradient_matches_fd():
+    from simdistill.verify import gradcheck_suite
+
+    cases = {
+        "dense": (
+            T.dense,
+            [lambda r: r.standard_normal((3, 4)), lambda r: r.standard_normal((4, 2)),
+             lambda r: r.standard_normal(2)],
+        )
+    }
+    (report,) = [r for r in gradcheck_suite(seed=3, probes=20, cases=cases) if r.name == "gradcheck-dense"]
+    assert report.verdict == "pass", report.detail
+
+
+@pytest.mark.parametrize("frozen", ["x", "w", "b", "xw"])
+def test_dense_vjp_returns_none_for_operands_without_grad(frozen):
+    rng = np.random.default_rng(5)
+    x, w, b = (
+        Tensor(a, requires_grad=name not in frozen)
+        for name, a in zip("xwb", [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)])
+    )
+    out = T.dense(x, w, b)
+    pieces = out.vjp(np.ones_like(out.data))
+    for name, operand, piece in zip("xwb", (x, w, b), pieces):
+        if name in frozen:
+            assert piece is None
+        else:
+            assert piece.shape == operand.shape
+    # backward skips the missing pieces and still fills the live ones
+    grads = backward(T.tsum(out), [x, w, b])
+    assert np.array_equal(grads[2], np.zeros(2) if "b" in frozen else np.full(2, 4.0))
 
 
 def test_mlp_end_to_end_gradient_matches_fd():
