@@ -497,7 +497,7 @@ class DistillResult:
 def _params_digest(params) -> bytes:
     h = hashlib.blake2b(digest_size=16)
     for p in params:
-        h.update(p.data.tobytes())
+        h.update(np.ascontiguousarray(p.data))  # hashes the buffer in place; copies only a strided view
     return h.digest()
 
 

@@ -58,7 +58,14 @@ class Adam:
             m += (1.0 - self.beta1) * g
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
-            p.data[...] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            # lr·(m/c1) / (√(v/c2) + eps), built in two buffers with the same ops
+            s = m / c1
+            s *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            s /= den
+            p.data -= s
 
     def state_dict(self) -> dict:
         return {

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import distances as dist_mod
 from . import kernels
@@ -181,6 +181,8 @@ def gaussian_score(spec: GaussianSpec, x, t: float) -> np.ndarray:
 
 
 def gaussian_log_density(spec: GaussianSpec, x, t: float):
+    from scipy import stats  # not at module level: scipy.stats takes ~0.8 s to import, and only tests need it
+
     pts, single = _rows(x)
     cov = _diffused_cov(spec.cov, t)
     out = stats.multivariate_normal.logpdf(pts, mean=spec.mean, cov=cov)
@@ -301,6 +303,8 @@ def linear_gen_score(g: LinearGenerator, x, t: float) -> np.ndarray:
 
 
 def linear_gen_log_density(g: LinearGenerator, x, t: float):
+    from scipy import stats  # see gaussian_log_density
+
     pts, single = _rows(x)
     cov = linear_gen_cov(g, t)
     _inv_pd(cov, "push-forward covariance")
@@ -389,7 +393,7 @@ def time_grid_from_distribution(dist: TimeDistribution, spec: DiffusionSpec, n: 
         raise ValueError(f"grid size must be ≥ 1, got {n}")
     u = (np.arange(n) + 0.5) / n
     if dist.kind == "log-normal":
-        return np.exp(dist.p_mean + dist.p_std * stats.norm.ppf(u))
+        return np.exp(dist.p_mean + dist.p_std * special.ndtri(u))
     if dist.kind == "karr-uniform":
         from .diffusion import karras_grid
 
@@ -415,8 +419,33 @@ def divergence_value(
     the equal-weight mean over grid nodes with its combined standard error.
 
     Draws consume the rng in a fixed order, so two calls with identically
-    seeded generators see common random numbers — the intended way to
-    finite-difference this estimate without MC noise swamping the step.
+    seeded generators see common random numbers. To finite-difference this
+    estimate, evaluate every perturbed p in one :func:`divergence_values`
+    call instead: it returns the same estimates to the bit from one set of
+    draws and one teacher score per node.
+    """
+    sampler = p if sampling_dist is None else sampling_dist
+    return divergence_values([p], q, d, w, time_grid, n_mc, rng, sampler)[0]
+
+
+def divergence_values(
+    ps,
+    q,
+    d: dist_mod.DistanceFn,
+    w: WeightingFn,
+    time_grid,
+    n_mc: int,
+    rng: np.random.Generator,
+    sampling_dist,
+) -> list[DivergenceEstimate]:
+    """:func:`divergence_value` of each p in ``ps`` under common random numbers.
+
+    At each grid node, x_t is drawn once from the diffused ``sampling_dist``
+    and the teacher score q and the weight w(t) are computed once; each p
+    then adds its own w(t)·d(score_p − score_q). The rng is consumed as one
+    :func:`divergence_value` call consumes it, so estimate i equals
+    ``divergence_value(ps[i], …, sampling_dist)`` on an identically seeded
+    rng, to the bit.
     """
     grid = np.asarray(time_grid, dtype=np.float64).ravel()
     if grid.size == 0:
@@ -425,17 +454,20 @@ def divergence_value(
         raise ValueError(f"n_mc must be ≥ 1, got {n_mc}")
     if w.kind == "sid":
         raise ValueError("sid weighting is per-sample; use one or edm for divergence quadrature")
-    sampler = p if sampling_dist is None else sampling_dist
-    total = 0.0
-    var_total = 0.0
-    for t in grid:
-        x0 = sample_clean(sampler, rng, n_mc)
-        x_t = x0 + float(t) * rng.standard_normal(x0.shape)
-        delta = marginal_score(p, x_t, float(t)) - marginal_score(q, x_t, float(t))
-        dv = np.atleast_1d(d.value(delta))
+    total = np.zeros(len(ps))
+    var_total = np.zeros(len(ps))
+    for t in map(float, grid):
+        x0 = sample_clean(sampling_dist, rng, n_mc)
+        x_t = x0 + t * rng.standard_normal(x0.shape)
+        score_q = marginal_score(q, x_t, t)
         wt = float(weight_batch(w, t)[0])
-        total += wt * dv.mean()
-        if n_mc > 1:
-            var_total += wt * wt * dv.var(ddof=1) / n_mc
+        for i, p in enumerate(ps):
+            dv = np.atleast_1d(d.value(marginal_score(p, x_t, t) - score_q))
+            total[i] += wt * dv.mean()
+            if n_mc > 1:
+                var_total[i] += wt * wt * dv.var(ddof=1) / n_mc
     g = grid.size
-    return DivergenceEstimate(value=total / g, se=float(np.sqrt(var_total)) / g, n_mc=n_mc, n_grid=g)
+    return [
+        DivergenceEstimate(value=float(v) / g, se=float(np.sqrt(s)) / g, n_mc=n_mc, n_grid=g)
+        for v, s in zip(total, var_total)
+    ]

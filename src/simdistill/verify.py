@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, cond_score
 from .distances import DistanceFn, derivative as dist_derivative, value as dist_value
@@ -31,7 +31,8 @@ from .oracles import (
     GaussianSpec,
     GmmSpec,
     LinearGenerator,
-    divergence_value,
+    divergence_value,  # unused here; kept because perfbench's --trace 1 wraps verify.divergence_value
+    divergence_values,
     gaussian_score_graph,
     linear_gen_score_graph,
     marginal_score,
@@ -92,7 +93,7 @@ def _three_sigma_verdict(est: np.ndarray, se: np.ndarray) -> str:
 
 
 # two-sided false-alarm level of a normal 3·SE gate, 2Φ(−3) ≈ 2.7e-3
-GATE_LEVEL = 2.0 * stats.norm.sf(3.0)
+GATE_LEVEL = 2.0 * special.ndtr(-3.0)
 
 
 def _welch_t_multiplier(var_a: np.ndarray, var_b: np.ndarray, replicates: int) -> np.ndarray:
@@ -102,13 +103,14 @@ def _welch_t_multiplier(var_a: np.ndarray, var_b: np.ndarray, replicates: int) -
     means of ``replicates`` draws each. Their difference over
     √(var_a + var_b) is Student-t with Welch–Satterthwaite degrees of freedom
     ν = (var_a + var_b)²·(r − 1) / (var_a² + var_b²) ∈ [r − 1, 2(r − 1)];
-    ν = r − 1 where both variances vanish.
+    ν = r − 1 where both variances vanish. −stdtrit(ν, α) is the expression
+    ``scipy.stats.t.isf(α, ν)`` evaluates, without importing ``scipy.stats``.
     """
     df = float(replicates - 1)
     num = np.square(var_a + var_b) * df
     den = np.square(var_a) + np.square(var_b)
     nu = np.divide(num, den, out=np.full_like(num, df), where=den > 0)
-    return stats.t.isf(GATE_LEVEL / 2, nu)
+    return -special.stdtrit(nu, GATE_LEVEL / 2)
 
 
 def _identity_verdict(gap: np.ndarray, gate: np.ndarray, signal: float, noise: float) -> str:
@@ -230,14 +232,15 @@ def check_theorem1(
 
     The divergence being differentiated keeps its sampling measure frozen at
     the base parameters (stop-gradient on the sampler); only the score field
-    moves with θ. Left side: central finite differences of
-    ``divergence_value`` over the flattened (A, b) with
-    ``sampling_dist`` pinned to the base generator, every perturbed
-    evaluation replaying the same rng stream. Right side: the autodiff
-    gradient of the generator matching loss with the score fields frozen at
-    the base parameters (θ flows only through the sampling path there — the
-    two sides move complementary halves, which is the content of the
-    identity). Both sides are replicated with independent streams to
+    moves with θ. Left side: central finite differences of the divergence
+    quadrature over the flattened (A, b) with the sampling measure pinned to
+    the base generator. All 2·n_par perturbed evaluations of a replicate come
+    from one ``divergence_values`` call, so they share one set of draws and
+    one teacher score per grid node (common random numbers). Right side: the
+    autodiff gradient of the generator matching loss with the score fields
+    frozen at the base parameters (θ flows only through the sampling path
+    there — the two sides move complementary halves, which is the content of
+    the identity). Both sides are replicated with independent streams to
     estimate standard errors; a coordinate passes when the estimates agree
     within k combined standard errors plus an O(fd_step²) bias allowance.
 
@@ -282,21 +285,14 @@ def check_theorem1(
         rhs[r] = acc / grid.size
 
     frozen_sampler = LinearGenerator(p.A, p.b)
+    perturbed = []  # θ0 + e_i, θ0 − e_i for each coordinate i
+    for e in fd_step * np.eye(n_par):
+        perturbed += [LinearGenerator.from_flat(th, dim, latent) for th in (theta0 + e, theta0 - e)]
     lhs = np.zeros((replicates, n_par))
     for r in range(replicates):
-        base_seed = int(fd_seeds[r])
-        for i in range(n_par):
-            e = np.zeros(n_par)
-            e[i] = fd_step
-            up = divergence_value(
-                LinearGenerator.from_flat(theta0 + e, dim, latent), q, d, w, grid,
-                n_mc, make_rng(base_seed), sampling_dist=frozen_sampler,
-            )
-            dn = divergence_value(
-                LinearGenerator.from_flat(theta0 - e, dim, latent), q, d, w, grid,
-                n_mc, make_rng(base_seed), sampling_dist=frozen_sampler,
-            )
-            lhs[r, i] = (up.value - dn.value) / (2 * fd_step)
+        est = divergence_values(perturbed, q, d, w, grid, n_mc, make_rng(int(fd_seeds[r])), frozen_sampler)
+        values = np.array([x.value for x in est])
+        lhs[r] = (values[0::2] - values[1::2]) / (2 * fd_step)
 
     lhs_mean, rhs_mean = lhs.mean(axis=0), rhs.mean(axis=0)
     lhs_se = lhs.std(axis=0, ddof=1) / np.sqrt(replicates)

@@ -14,6 +14,7 @@ from simdistill.oracles import (
     GmmSpec,
     LinearGenerator,
     divergence_value,
+    divergence_values,
     gaussian_log_density,
     gaussian_sample,
     gaussian_score,
@@ -38,6 +39,11 @@ from simdistill.oracles import (
 from simdistill.rng import make_rng
 
 SPEC = DiffusionSpec()
+TEACHERS = {
+    "gaussian": GaussianSpec(np.array([0.5, -0.25]), np.array([[1.2, 0.3], [0.3, 0.8]])),
+    "gmm": ring_gmm(),
+    "linear": LinearGenerator(np.array([[1.0, 0.4], [-0.2, 0.9]]), np.array([0.1, 0.2])),
+}
 
 
 def fd_score(logp, x, h=1e-5):
@@ -320,6 +326,14 @@ class TestTimeGrid:
         assert set(grid.tolist()) <= sigmas
         assert np.all(np.diff(grid) > 0)
 
+    def test_log_normal_grid_equals_scipy_stats_form_to_the_bit(self):
+        from scipy import stats
+
+        for p_mean, p_std, n in [(-1.0, 0.5, 8), (-3.5, 2.5, 32), (0.0, 1.0, 1), (-1.2, 1.2, 257)]:
+            grid = time_grid_from_distribution(TimeDistribution.log_normal(p_mean, p_std), SPEC, n=n)
+            u = (np.arange(n) + 0.5) / n
+            assert np.array_equal(grid, np.exp(p_mean + p_std * stats.norm.ppf(u)))
+
     def test_fixed_grid_passthrough(self):
         dist = TimeDistribution.fixed_grid((2.0, 0.5, 1.0))
         np.testing.assert_array_equal(
@@ -408,3 +422,25 @@ class TestDivergenceValue:
             divergence_value(p, p, DistanceFn.l2(), WeightingFn.one(), [1.0], 0, make_rng(0))
         with pytest.raises(ValueError, match="sid"):
             divergence_value(p, p, DistanceFn.l2(), WeightingFn.sid(C=1.0), [1.0], 10, make_rng(0))
+
+
+class TestDivergenceValues:
+    @pytest.mark.parametrize("n_mc", [1, 64])
+    @pytest.mark.parametrize("grid", [[0.7], [0.3, 1.0, 2.5]])
+    @pytest.mark.parametrize("weighting", ["one", "edm"])
+    @pytest.mark.parametrize("distance", ["l2", "pseudo_huber"])
+    @pytest.mark.parametrize("teacher", sorted(TEACHERS))
+    def test_each_estimate_equals_its_own_call_to_the_bit(self, teacher, distance, weighting, grid, n_mc):
+        q = TEACHERS[teacher]
+        d = DistanceFn.l2() if distance == "l2" else DistanceFn.pseudo_huber(0.5)
+        w = WeightingFn.one() if weighting == "one" else WeightingFn.edm()
+        sampler = LinearGenerator(np.array([[1.1, 0.0], [0.2, 0.9]]), np.array([0.3, -0.1]))
+        theta = sampler.flat()
+        ps = [LinearGenerator.from_flat(theta + 1e-4 * e, 2, 2) for e in np.eye(theta.size)]
+        ps += [GaussianSpec(np.zeros(2), 2.0 * np.eye(2)), sampler]
+        together = divergence_values(ps, q, d, w, grid, n_mc, make_rng(50), sampler)
+        assert len(together) == len(ps)
+        for p, est in zip(ps, together):
+            alone = divergence_value(p, q, d, w, grid, n_mc, make_rng(50), sampling_dist=sampler)
+            assert np.array_equal(est.value, alone.value) and np.array_equal(est.se, alone.se)
+            assert (est.n_mc, est.n_grid) == (alone.n_mc, alone.n_grid) == (n_mc, len(grid))

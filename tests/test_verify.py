@@ -1,21 +1,28 @@
 """Tests for the statistical verifiers and the finite-difference battery."""
 
+import copy
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
+import simdistill
 from simdistill.distances import DistanceFn
 from simdistill.distill import sim_generator_loss
 from simdistill.nnkit import tensor as T
-from simdistill.oracles import GaussianSpec, GmmSpec, LinearGenerator, gmm_score_graph
+from simdistill.oracles import GaussianSpec, GmmSpec, LinearGenerator, divergence_value, gmm_score_graph
 from simdistill.rng import make_rng
 from simdistill.verify import (
+    GATE_LEVEL,
     U_TAGS,
     VerificationReport,
     _identity_verdict,
+    _welch_t_multiplier,
     check_score_projection,
     check_theorem1,
     default_gradcheck_cases,
@@ -185,6 +192,50 @@ class TestGradientIdentity:
             n_mc=2048, seed=300, replicates=12,
         )
         assert rep.verdict == "fail"
+
+    @pytest.mark.parametrize("case", ["gmm-pseudo_huber", "gaussian-l2"])
+    def test_shared_draws_match_one_quadrature_per_perturbation(self, monkeypatch, case):
+        # parity guard: replaying a fresh copy of the rng for every perturbed
+        # generator, one divergence_value call each, must give the same report
+        if case == "gmm-pseudo_huber":
+            args = (LinearGenerator(np.diag([1.5, 0.7]), np.array([0.3, -0.2])), TWO_MODE,
+                    DistanceFn.pseudo_huber(0.5), (0.5, 1.0, 2.0))
+        else:
+            args = (LinearGenerator(np.eye(2), np.array([1.0, 0.0])), GaussianSpec(np.zeros(2), np.eye(2)),
+                    DistanceFn.l2(), (1.0,))
+        kw = dict(n_mc=512, seed=9, replicates=3)
+        shared = check_theorem1(*args, **kw).to_dict()
+
+        def one_call_per_p(ps, q, d, w, grid, n_mc, rng, sampling_dist):
+            return [divergence_value(p, q, d, w, grid, n_mc, copy.deepcopy(rng), sampling_dist) for p in ps]
+
+        monkeypatch.setattr("simdistill.verify.divergence_values", one_call_per_p)
+        assert check_theorem1(*args, **kw).to_dict() == shared
+
+    def test_welch_multiplier_equals_scipy_stats_t_to_the_bit(self):
+        from scipy import stats
+
+        rng = make_rng(17)
+        for replicates in range(2, 62):
+            zero = np.zeros(3)
+            # zero-variance branch: ν = r − 1 runs over 1..60
+            assert np.array_equal(
+                _welch_t_multiplier(zero, zero, replicates),
+                stats.t.isf(GATE_LEVEL / 2, np.full(3, replicates - 1.0)),
+            )
+            if replicates <= 31:  # ν ∈ [r − 1, 2(r − 1)] stays within [1, 60]
+                var_a, var_b = rng.exponential(size=8), rng.exponential(size=8)
+                var_b[0] = 0.0
+                df = replicates - 1.0
+                nu = np.square(var_a + var_b) * df / (np.square(var_a) + np.square(var_b))
+                assert np.array_equal(
+                    _welch_t_multiplier(var_a, var_b, replicates), stats.t.isf(GATE_LEVEL / 2, nu)
+                )
+
+    def test_gate_level_equals_scipy_stats_form_to_the_bit(self):
+        from scipy import stats
+
+        assert GATE_LEVEL == 2.0 * stats.norm.sf(3.0)
 
     def test_verdict_classifier_branches(self):
         gap = np.array([0.1, 0.2])
@@ -368,3 +419,24 @@ class TestGradcheckSuite:
     def test_probe_count_is_echoed(self):
         reports = gradcheck_suite(seed=0, probes=2)
         assert all(r.n_mc == 2 for r in reports if r.name != "gradcheck-zero-subgradient")
+
+
+def test_verify_run_never_imports_scipy_stats(tmp_path):
+    # scipy.stats costs ~0.8 s to import; the CLI and a full verify run must
+    # not pull it in, neither at import nor lazily on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(simdistill.__file__)))
+    code = (
+        "import sys\n"
+        "from simdistill.harness import cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported by the CLI'\n"
+        "argv = ['verify', '--check', 'all', '--probes', '2', '--n-mc', '256', '--replicates', '2',\n"
+        "        '--n-mc-projection', '1000', '--out', sys.argv[1]]\n"
+        "cli.main(argv)\n"
+        "assert 'scipy.stats' not in sys.modules, 'imported by a verify run'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "reports.json").exists()
