@@ -2,19 +2,57 @@
 
 Both are numpy only, one implementation per formula. ``mmd_sums`` builds its
 squared distances in row blocks from BLAS Gram products, so its memory grows
-linearly in the sample size. ``gmm_fields`` is the one implementation of the
-diffused-mixture math, which both the plain-array oracles and the graph-mode
-score primitive in ``oracles`` call.
+linearly in the sample size. The blocks run on a thread pool with one worker
+per CPU the process may use: the matmul, the ufuncs and the reductions all
+release the interpreter lock. Each block returns its own partial sums, which
+are added in block order, so the result does not depend on the worker count.
+``gmm_fields`` is the one implementation of the diffused-mixture math, which
+both the plain-array oracles and the graph-mode score primitive in
+``oracles`` call.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-# Rows per block of squared distances. The two float64 buffers of _BLOCK × n
-# (5 MB at n = 10⁴) stay in cache across the bandwidth passes; at n = 10⁴ on
-# a 2-vCPU Xeon with one BLAS thread, blocks of 512 rows ran ~40% slower.
+# Rows per block of squared distances. Each worker holds two float64 buffers
+# of _BLOCK × n, 2·64·n·8 bytes (10 MB at n = 10⁴), which stay in cache across
+# the bandwidth passes; at n = 10⁴ on a 2-vCPU Xeon with one BLAS thread,
+# blocks of 512 rows ran ~40% slower. The block boundaries fix how each
+# partial sum is grouped, so changing _BLOCK changes the last bits.
 _BLOCK = 64
+
+# Columns per Gram product. A multi-threaded OpenBLAS splits a product over
+# its own threads once M·N·K passes 4·65536, and those threads then spin
+# against the pool's workers: on a 2-vCPU Xeon with two BLAS threads,
+# unchunked products made n = 10⁴ take 3.5–4.3 s on the pool against
+# 2.7–3.2 s for a sequential loop. _BLOCK × 1024 × d stays below the
+# threshold for d ≤ 4. The columns are split evenly, so a split never leaves
+# a one-column product (numpy sends those to gemv, whose last bits differ
+# from gemm's).
+_GRAM_COLS = 1024
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _check_bandwidths(bandwidths) -> np.ndarray:
+    h = np.asarray(bandwidths, dtype=np.float64)
+    if h.ndim != 1 or h.size == 0:
+        raise ValueError(f"bandwidths must be a non-empty 1-D array, got shape {h.shape}")
+    bad = h[~(np.isfinite(h) & (h > 0.0))]
+    if bad.size:
+        raise ValueError(f"bandwidths must be finite and positive, got {float(bad[0])!r}")
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -28,48 +66,88 @@ def mmd_sums(X: np.ndarray, Y: np.ndarray, bandwidths: np.ndarray) -> np.ndarray
     (sum_xx, sum_yy, sum_xy). Distances come from Gram blocks of the samples
     centred on their pooled mean: without the centring, ‖a‖² + ‖b‖² − 2abᵀ
     loses digits to cancellation when the clouds sit far from the origin.
+    The row blocks of all three pair sums go to one thread pool, created for
+    this call; their partial sums are added into each column in block order,
+    so every worker count gives the same bits.
+
+    Raises:
+        ValueError: unless ``bandwidths`` is a non-empty 1-D array of finite
+            positive values.
     """
+    scales = -0.5 / _check_bandwidths(bandwidths) ** 2
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     centre = np.vstack([X, Y]).mean(axis=0)
     X = X - centre
     Y = Y - centre
-    scales = -0.5 / np.asarray(bandwidths, dtype=np.float64) ** 2
-    return np.stack(
-        [_pair_sums(X, X, scales, True), _pair_sums(Y, Y, scales, True), _pair_sums(X, Y, scales, False)],
-        axis=1,
-    )
+    x2 = np.einsum("ij,ij->i", X, X)
+    y2 = np.einsum("ij,ij->i", Y, Y)
+    pairs = ((X, x2, X, x2, True), (Y, y2, Y, y2, True), (X, x2, Y, y2, False))
+    blocks = [(col, i0) for col, (A, *_) in enumerate(pairs) for i0 in range(0, len(A), _BLOCK)]
+    workers = max(1, min(_usable_cpus(), len(blocks)))
+    # One pair of block buffers per worker, allocated by this thread so that
+    # they are freed when the call returns: allocated in the workers, they
+    # stayed in the workers' malloc arenas (RSS 32 MB higher after n = 10⁴).
+    size = _BLOCK * max(len(X), len(Y))
+    scratch = queue.SimpleQueue()
+    for _ in range(workers):
+        scratch.put((np.empty(size), np.empty(size)))
+
+    def run(blk: tuple[int, int]) -> np.ndarray:
+        buffers = scratch.get()
+        try:
+            return _block_sums(*pairs[blk[0]], blk[1], scales, *buffers)
+        finally:
+            scratch.put(buffers)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        partials = list(pool.map(run, blocks))
+    sums = np.zeros((len(scales), 3))
+    for (col, _), part in zip(blocks, partials):
+        sums[:, col] += part
+    return sums
 
 
-def _pair_sums(A: np.ndarray, B: np.ndarray, scales: np.ndarray, same: bool) -> np.ndarray:
-    """Σ_ij exp(scale·‖a_i − b_j‖²) per scale; over i ≠ j when ``same`` (B is A).
+def _block_sums(
+    A: np.ndarray,
+    a2: np.ndarray,
+    B: np.ndarray,
+    b2: np.ndarray,
+    same: bool,
+    i0: int,
+    scales: np.ndarray,
+    sq_buf: np.ndarray,
+    k_buf: np.ndarray,
+) -> np.ndarray:
+    """Σ exp(scale·‖a_i − b_j‖²) per scale over rows i0 : i0 + _BLOCK of A.
 
-    With ``same`` each row block pairs only with columns from its own block
-    onward: the diagonal block is summed whole with its diagonal removed, and
-    the rest counts twice for the mirrored lower triangle.
+    ``a2`` and ``b2`` are the squared row norms; ``sq_buf`` and ``k_buf`` are
+    flat scratch of at least _BLOCK × len(B) floats. With ``same`` (B is A) the
+    sum runs over i ≠ j: the block pairs only with columns from its own first
+    row onward, its diagonal square is summed whole with the diagonal
+    removed, and the rest counts twice for the mirrored lower triangle.
     """
-    a2 = np.einsum("ij,ij->i", A, A)
-    b2 = a2 if same else np.einsum("ij,ij->i", B, B)
-    sums = np.zeros(len(scales))
-    for i0 in range(0, len(A), _BLOCK):
-        i1 = min(i0 + _BLOCK, len(A))
-        j0 = i0 if same else 0
-        sq = A[i0:i1] @ B[j0:].T
-        sq *= -2.0
-        sq += a2[i0:i1, None]
-        sq += b2[None, j0:]
-        np.maximum(sq, 0.0, out=sq)
-        if same:
-            rows = np.arange(i1 - i0)
-            sq[rows, rows] = np.inf  # exp(-inf) = 0 drops the i = j terms
-        k = np.empty_like(sq)
-        for b, scale in enumerate(scales):
-            np.multiply(sq, scale, out=k)
-            np.exp(k, out=k)
-            if same:
-                sums[b] += k[:, : i1 - i0].sum() + 2.0 * k[:, i1 - i0 :].sum()
-            else:
-                sums[b] += k.sum()
+    i1 = min(i0 + _BLOCK, len(A))
+    j0 = i0 if same else 0
+    width = len(B) - j0
+    sq = sq_buf[: (i1 - i0) * width].reshape(i1 - i0, width)
+    parts = -(-width // _GRAM_COLS)
+    for c in range(parts):
+        c0, c1 = width * c // parts, width * (c + 1) // parts
+        np.matmul(A[i0:i1], B[j0 + c0 : j0 + c1].T, out=sq[:, c0:c1])
+    sq *= -2.0
+    sq += a2[i0:i1, None]
+    sq += b2[None, j0:]
+    np.maximum(sq, 0.0, out=sq)
+    if same:
+        rows = np.arange(i1 - i0)
+        sq[rows, rows] = np.inf  # exp(-inf) = 0 drops the i = j terms
+    k = k_buf[: (i1 - i0) * width].reshape(i1 - i0, width)
+    sums = np.empty(len(scales))
+    for b, scale in enumerate(scales):
+        np.multiply(sq, scale, out=k)
+        np.exp(k, out=k)
+        sums[b] = k[:, : i1 - i0].sum() + 2.0 * k[:, i1 - i0 :].sum() if same else k.sum()
     return sums
 
 

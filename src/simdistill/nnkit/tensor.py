@@ -14,6 +14,9 @@ forward that is never differentiated does not belong on the tape at all:
 
 Conventions baked in here and relied on elsewhere:
   - all data is float64, row-major;
+  - a VJP reads its upstream gradient ``g`` and never writes into it, and the
+    gradients ``backward`` returns are read-only: one may share memory with
+    another gradient or with an upstream ``g``;
   - broadcasting follows numpy; backward sums gradients over broadcast axes;
   - kinks use subgradient zero (``sign(0) == 0``, relu'(0) == 0, clip passes
     gradient only strictly inside the interval).
@@ -144,7 +147,8 @@ def primitive(data, op: str, parents: tuple[Tensor, ...], vjp) -> Tensor:
 
     ``vjp(g)`` returns one gradient per parent, as for the built-in
     primitives, or ``None`` for a parent that requires none; it is kept only
-    when some parent requires gradients.
+    when some parent requires gradients. It must not write into ``g``, which
+    other nodes' gradients may share; a returned array may be ``g`` itself.
     """
     return _make(data, op, parents, vjp)
 
@@ -396,7 +400,8 @@ def backward(
     Pure given the tape: accumulators are rebuilt on every call and ``.grad``
     attributes are overwritten, never summed across calls. With ``params``
     omitted, every grad-required leaf in the tape receives its ``.grad`` and
-    the list is returned in tape order.
+    the list is returned in tape order. The returned arrays (and ``.grad``)
+    are read-only: they may share memory with one another.
     """
     if loss.data.ndim != 0 and loss.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -414,7 +419,7 @@ def backward(
             if not parent.requires_grad:
                 continue
             acc = grads.get(parent.uid)
-            grads[parent.uid] = pg.copy() if acc is None else acc + pg
+            grads[parent.uid] = pg if acc is None else acc + pg
 
     for node in tape.nodes:
         if node.requires_grad and not node.parents:

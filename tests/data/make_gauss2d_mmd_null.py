@@ -9,8 +9,13 @@ distilled from a *trained* (not analytic) teacher.
 Run from the repository root:
 
     python3 tests/data/make_gauss2d_mmd_null.py
+
+``--out PATH`` writes elsewhere and ``--replicates N`` draws N pairs, so a
+regenerated fixture can be compared with the committed one without
+overwriting it.
 """
 
+import argparse
 import json
 import time
 from pathlib import Path
@@ -30,26 +35,32 @@ OUT = Path(__file__).with_name("gauss2d_mmd_null.json")
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT, help=f"output path (default {OUT.name} here)")
+    parser.add_argument("--replicates", type=int, default=REPLICATES, help=f"pairs drawn (default {REPLICATES})")
+    args = parser.parse_args()
+    if args.replicates < 2:
+        parser.error("--replicates must be at least 2 (the null_std is a sample std)")
     spec = GmmSpec([1.0], [MEAN], SCALE)
     rng = make_rng(SEED)
     first_x = sample_clean(spec, rng, N)
     first_y = sample_clean(spec, rng, N)
     bandwidths = median_heuristic_bandwidths(first_x, first_y)
 
-    values = np.empty(REPLICATES)
+    values = np.empty(args.replicates)
     t0 = time.perf_counter()
-    for i in range(REPLICATES):
+    for i in range(args.replicates):
         x = first_x if i == 0 else sample_clean(spec, rng, N)
         y = first_y if i == 0 else sample_clean(spec, rng, N)
         values[i] = mmd_rbf(x, y, bandwidths=bandwidths)
         if (i + 1) % 20 == 0:
-            print(f"{i + 1}/{REPLICATES} replicates, {time.perf_counter() - t0:.0f}s", flush=True)
+            print(f"{i + 1}/{args.replicates} replicates, {time.perf_counter() - t0:.0f}s", flush=True)
 
     fixture = {
         "algorithm": ALGORITHM,
         "seed": SEED,
         "n": N,
-        "replicates": REPLICATES,
+        "replicates": args.replicates,
         "gaussian": {"mean": MEAN, "scale": SCALE},
         "bandwidths": bandwidths.tolist(),
         "null_mean": float(values.mean()),
@@ -57,8 +68,8 @@ def main() -> None:
         "null_q99": float(np.quantile(values, 0.99)),
         "null_max": float(values.max()),
     }
-    OUT.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {OUT}")
+    args.out.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
     print(json.dumps(fixture, indent=2, sort_keys=True))
 
 

@@ -1,6 +1,9 @@
 """Numeric kernels: the MMD sums and the mixture fields against brute force,
-and their determinism.
+their determinism, and the MMD sums' independence of the worker count.
 """
+
+import re
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,55 @@ def brute_force_sums(X, Y, bandwidths):
         np.fill_diagonal(kyy, 0.0)
         rows.append([kxx.sum(), kyy.sum(), np.exp(-dxy / (2 * h * h)).sum()])
     return np.array(rows)
+
+
+def sequential_mmd_sums(X, Y, bandwidths):
+    """mmd_sums as one sequential loop over the row blocks, the reference for
+    the thread pool: same centring, same blocks, same ops, same sum order."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    centre = np.vstack([X, Y]).mean(axis=0)
+    X = X - centre
+    Y = Y - centre
+    scales = -0.5 / np.asarray(bandwidths, dtype=np.float64) ** 2
+
+    def pair_sums(A, B, same):
+        a2 = np.einsum("ij,ij->i", A, A)
+        b2 = a2 if same else np.einsum("ij,ij->i", B, B)
+        sums = np.zeros(len(scales))
+        for i0 in range(0, len(A), 64):
+            i1 = min(i0 + 64, len(A))
+            j0 = i0 if same else 0
+            sq = A[i0:i1] @ B[j0:].T
+            sq *= -2.0
+            sq += a2[i0:i1, None]
+            sq += b2[None, j0:]
+            np.maximum(sq, 0.0, out=sq)
+            if same:
+                rows = np.arange(i1 - i0)
+                sq[rows, rows] = np.inf
+            k = np.empty_like(sq)
+            for b, scale in enumerate(scales):
+                np.multiply(sq, scale, out=k)
+                np.exp(k, out=k)
+                if same:
+                    sums[b] += k[:, : i1 - i0].sum() + 2.0 * k[:, i1 - i0 :].sum()
+                else:
+                    sums[b] += k.sum()
+        return sums
+
+    return np.stack([pair_sums(X, X, True), pair_sums(Y, Y, True), pair_sums(X, Y, False)], axis=1)
+
+
+def _parity_cases():
+    rng = make_rng(5)
+    sizes = [(2, 2), (63, 65), (64, 64), (65, 2), (129, 63), (2048, 2048), (2048, 129)]
+    cases = [(f"{m}x{n}", rng.standard_normal((m, 2)), rng.standard_normal((n, 2))) for m, n in sizes]
+    X = rng.standard_normal((2049, 2))
+    Y = rng.standard_normal((2048, 2))
+    cases.append(("shifted", X + 1e3, Y + 1e3))
+    cases.append(("duplicates", np.vstack([X[:1500], X[:300]]), np.vstack([Y[:1500], X[1000:1300]])))
+    return cases
 
 
 class TestMmdSums:
@@ -60,6 +112,50 @@ class TestMmdSums:
         bw = np.array([0.25, 1.0])
         for A, B in cases:
             np.testing.assert_allclose(kernels.mmd_sums(A, B, bw), brute_force_sums(A, B, bw), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_any_worker_count_matches_sequential_loop_to_the_bit(self, workers, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+        bw = np.array([0.25, 1.0, 4.0])
+        baseline = threading.active_count()
+        for name, A, B in _parity_cases():
+            assert np.array_equal(kernels.mmd_sums(A, B, bw), sequential_mmd_sums(A, B, bw)), name
+            assert threading.active_count() == baseline, f"{name}: pool threads outlived the call"
+
+    def test_pool_gets_one_worker_per_cpu_capped_at_the_block_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(kernels.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(kernels, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 8)
+        rng = make_rng(6)
+        bw = np.array([1.0])
+        kernels.mmd_sums(rng.standard_normal((2, 2)), rng.standard_normal((3, 2)), bw)  # 3 blocks
+        kernels.mmd_sums(rng.standard_normal((640, 2)), rng.standard_normal((64, 2)), bw)  # 21 blocks
+        assert sizes == [3, 8]
+
+    @pytest.mark.parametrize(
+        "bandwidths, named",
+        [
+            ([0.0], "0.0"),
+            ([1.0, -1.0], "-1.0"),
+            ([np.inf], "inf"),
+            ([0.5, np.nan], "nan"),
+            ([], "shape (0,)"),
+            ([[0.5, 1.0]], "shape (1, 2)"),
+        ],
+        ids=["zero", "negative", "inf", "nan", "empty", "2-D"],
+    )
+    def test_rejects_bad_bandwidth_ladder(self, bandwidths, named):
+        rng = make_rng(7)
+        X = rng.standard_normal((10, 2))
+        Y = rng.standard_normal((12, 2))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            kernels.mmd_sums(X, Y, bandwidths)
 
 
 class TestGmmFields:

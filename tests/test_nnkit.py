@@ -2,14 +2,19 @@
 
 - central finite differences for every primitive's backward rule;
 - a straight-line numpy re-implementation of the MLP forward;
-- a scalar recurrence re-implementation of Adam.
+- a scalar recurrence re-implementation of Adam;
+- a read-only upstream gradient for every VJP, which none may write into.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from simdistill.nnkit import Adam, MlpNet, Tape, Tensor, backward
 from simdistill.nnkit import tensor as T
+from simdistill.oracles import gmm_score_graph, ring_gmm
 
 REL_TOL = 1e-6
 FLOOR = 1e-4
@@ -186,6 +191,59 @@ def test_grad_accumulates_within_one_graph():
     y = T.add(T.square(x), T.mul(x, Tensor(np.array([5.0]))))  # x^2 + 5x
     (g,) = backward(T.tsum(y), [x])
     assert np.allclose(g, [11.0])
+
+
+def _vjp_cases():
+    rng = np.random.default_rng(21)
+
+    def leaf(*shape):
+        return Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=True)
+
+    a, b, row, m, w = leaf(3, 4), leaf(3, 4), leaf(1, 4), leaf(4, 2), leaf(1, 2)
+    return [
+        T.add(a, row),
+        T.sub(a, row),
+        T.neg(a),
+        T.mul(a, b),
+        T.div(a, row),
+        T.matmul(a, m),
+        T.dense(a, m, w),
+        T.square(a),
+        T.sqrt(a),
+        T.exp(a),
+        T.log(a),
+        T.powi(a, 3),
+        T.relu(T.sub(a, b)),
+        T.silu(T.sub(a, b)),
+        T.tanh(a),
+        T.absolute(T.sub(a, b)),
+        T.sign(a),
+        T.clip(a, 0.8, 1.5),
+        T.tsum(a),
+        T.tsum(a, axis=0),
+        T.tmean(a),
+        T.tmean(a, axis=1),
+        T.broadcast_to(row, (3, 4)),
+        T.reshape(a, (4, 3)),
+        T.concat([a, b], axis=1),
+        gmm_score_graph(ring_gmm(4, 2.0, 0.5), T.reshape(a, (6, 2)), 0.3),
+    ]
+
+
+def test_vjps_never_write_into_the_upstream_gradient():
+    # backward hands a node's first gradient contribution on uncopied, so a
+    # VJP that wrote into its g would corrupt the gradient of another node
+    cases = _vjp_cases()
+    source = Path(T.__file__).read_text(encoding="utf-8")
+    builtin = set(re.findall(r'_make\(\s*[^,]+,\s*"(\w+)"', source))
+    assert builtin <= {out.op for out in cases}, "a primitive without a VJP case"
+    rng = np.random.default_rng(22)
+    for out in cases:
+        g = rng.normal(size=out.shape)
+        before = g.copy()
+        g.flags.writeable = False  # an in-place write raises
+        out.vjp(g)
+        assert np.array_equal(g, before), out.op
 
 
 # -- MLP ---------------------------------------------------------------------
