@@ -310,6 +310,23 @@ def dsm_loss(
     return loss
 
 
+def _generator_batch(gen, score_net, teacher_score, spec, time_dist, weighting, batch, rng):
+    """The draws every generator loss starts from.
+
+    x0 = g(z) on the graph, one (t, ε) per sample, x_t = x0 + t·ε, both
+    frozen fields at (x_t, t), and the per-sample weights w(t).
+    """
+    z = gen.sample_latent(rng, batch)
+    x0 = gen.forward(z)
+    t = sample_times(time_dist, spec, rng, batch)
+    eps = rng.standard_normal(x0.shape)
+    x_t = perturb(x0, t, eps)
+    online = score_net(x_t, t)
+    ref = teacher_score(x_t, t)
+    w = weight_batch(weighting, t, x0=x0.data, denoised=ref.data)
+    return x0, t, x_t, online, ref, w
+
+
 def sim_generator_loss(
     gen,
     score_net,
@@ -334,14 +351,9 @@ def sim_generator_loss(
     """
     if loss_form not in ("denoiser", "score"):
         raise ValueError(f"unknown loss form {loss_form!r}")
-    z = gen.sample_latent(rng, batch)
-    x0 = gen.forward(z)
-    t = sample_times(time_dist, spec, rng, batch)
-    eps = rng.standard_normal(x0.shape)
-    x_t = perturb(x0, t, eps)
-
-    online = score_net(x_t, t)
-    ref = teacher_score(x_t, t)
+    x0, t, x_t, online, ref, w = _generator_batch(
+        gen, score_net, teacher_score, spec, time_dist, weighting, batch, rng
+    )
     y = online - ref
     if loss_form == "denoiser":
         factor2 = online - x0
@@ -351,7 +363,6 @@ def sim_generator_loss(
     if not first_factor_grad:
         first = first.detach()
     dots = T.tsum(first * factor2, axis=1)
-    w = weight_batch(weighting, t, x0=x0.data, denoised=ref.data)
     loss = -T.tmean(dots * w)
     _finite_or_raise(loss, "generator matching loss", t)
 
@@ -382,16 +393,11 @@ def sid_delta_generator_loss(
     distance plumbing. Kept as an independent implementation so the generic
     path can be checked against it gradient-for-gradient.
     """
-    z = gen.sample_latent(rng, batch)
-    x0 = gen.forward(z)
-    t = sample_times(time_dist, spec, rng, batch)
-    eps = rng.standard_normal(x0.shape)
-    x_t = perturb(x0, t, eps)
-    online = score_net(x_t, t)
-    ref = teacher_score(x_t, t)
+    x0, t, x_t, online, ref, w = _generator_batch(
+        gen, score_net, teacher_score, spec, time_dist, weighting, batch, rng
+    )
     delta = online - ref
     second = online - x0 if loss_form == "denoiser" else online - cond_score(x0, x_t, t)
-    w = weight_batch(weighting, t, x0=x0.data, denoised=ref.data)
     dots = T.tsum(delta * second, axis=1)
     loss = -2.0 * T.tmean(dots * w)
     _finite_or_raise(loss, "delta loss", t)
@@ -414,18 +420,13 @@ def di_generator_loss(
     The loss value itself is meaningless; its gradient is
     E[w(t) (s_φ(x_t) − s_q(x_t))ᵀ ∂x_t/∂θ].
     """
-    z = gen.sample_latent(rng, batch)
-    x0 = gen.forward(z)
-    t = sample_times(time_dist, spec, rng, batch)
-    eps = rng.standard_normal(x0.shape)
-    x_t = perturb(x0, t, eps)
-    online = score_net(x_t, t)
-    ref = teacher_score(x_t, t)
+    _, t, x_t, online, ref, w = _generator_batch(
+        gen, score_net, teacher_score, spec, time_dist, weighting, batch, rng
+    )
     if loss_form == "denoiser":
         sdiff = (online.data - ref.data) / (t[:, None] ** 2)
     else:
         sdiff = online.data - ref.data
-    w = weight_batch(weighting, t, x0=x0.data, denoised=ref.data)
     dots = T.tsum(x_t * sdiff, axis=1)
     loss = T.tmean(dots * w)
     _finite_or_raise(loss, "baseline generator loss", t)

@@ -18,13 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..diffusion import DiffusionSpec, TimeDistribution, WeightingFn
+from ..diffusion import DiffusionSpec
 from ..distances import DistanceFn
 from ..distill import (
     DenoiserGenerator,
-    DistillConfig,
     DivergenceHalt,
-    GeneratorSpec,
     MlpGenerator,
     _STREAM_NAMES,
     dsm_loss,
@@ -47,13 +45,13 @@ from .checkpoint import (
 from .config import (
     ConfigError,
     RunConfig,
+    TeacherTrainConfig,
     _data_dict,
-    _diffusion_dict,
+    _fields_dict,
     _gmm_dict,
     _parse_data,
-    _parse_diffusion,
+    _parse_fields,
     _parse_gmm,
-    _parse_teacher_train,
     _parse_time_dist,
     _parse_weighting,
     _time_dist_dict,
@@ -210,7 +208,7 @@ def teacher_validation_loss(net: MlpNet, proto: dict, base_dir: str | Path = "."
     The protocol pins the data spec, diffusion, time/weight laws, seed and
     batch size, so the returned loss is a pure function of the net weights.
     """
-    dspec = _parse_diffusion(proto["diffusion"], "validation.diffusion")
+    dspec = _parse_fields(DiffusionSpec, proto["diffusion"], "validation.diffusion")
     tdist = _parse_time_dist(proto["time_dist"], "validation.time_dist")
     weighting = _parse_weighting(proto["weighting"], "validation.weighting")
     data = _parse_data(proto["data"], "validation.data", Path(base_dir))
@@ -280,41 +278,35 @@ def _cmd_verify(args) -> int:
     return _run_reports(reports, out, args.seed)
 
 
-def _cmd_gradcheck(args) -> int:
-    out = _out_dir(args)
-    reports = gradcheck_suite(seed=args.seed, probes=args.probes)
-    return _run_reports(reports, out, args.seed)
-
-
 def _cmd_train_teacher(args) -> int:
     cfg = load_config(args.config)
     if cfg.data is None:
         raise ConfigError("data", "train-teacher requires a data section")
-    tt = cfg.teacher_train or _parse_teacher_train({}, "teacher_train")
+    tt = cfg.teacher_train or TeacherTrainConfig()
     out = _out_dir(args, cfg)
     (out / "config_echo.json").write_text(cfg.canonical_json(), encoding="utf-8")
 
     dim, draw = _data_sampler(cfg.data)
     streams = named_streams(cfg.seed, ["teacher_init", "teacher_train", "teacher_val"])
     net = MlpNet(
-        [dim, *tt["hidden"], dim],
+        [dim, *tt.hidden, dim],
         activation="silu",
         conditioning="concat-log-t",
         seed=int(streams["teacher_init"].integers(2**31)),
     )
-    opt = Adam(net.named_parameters(), lr=tt["lr"])
+    opt = Adam(net.named_parameters(), lr=tt.lr)
     train_rng = streams["teacher_train"]
 
     fh, write_row = _metrics_stream(out / "metrics.csv")
     try:
-        for step in range(1, tt["steps"] + 1):
-            x0 = draw(train_rng, tt["batch_size"])
+        for step in range(1, tt.steps + 1):
+            x0 = draw(train_rng, tt.batch_size)
             loss = dsm_loss(
-                net, x0, cfg.diffusion, tt["time_dist"], tt["weighting"],
-                train_rng, net_form=tt["net_form"],
+                net, x0, cfg.diffusion, tt.time_dist, tt.weighting,
+                train_rng, net_form=tt.net_form,
             )
             opt.step(backward(loss, net.parameters()))
-            if step % tt["log_interval"] == 0 or step == tt["steps"]:
+            if step % tt.log_interval == 0 or step == tt.steps:
                 write_row(MetricRow(
                     step, loss.item(), float("nan"), float("nan"),
                     float("nan"), float("nan"), 0.0,
@@ -324,11 +316,11 @@ def _cmd_train_teacher(args) -> int:
 
     proto = {
         "seed": int(streams["teacher_val"].integers(2**31)),
-        "n": tt["val_samples"],
-        "net_form": tt["net_form"],
-        "time_dist": _time_dist_dict(tt["time_dist"]),
-        "weighting": _weighting_dict(tt["weighting"]),
-        "diffusion": _diffusion_dict(cfg.diffusion),
+        "n": tt.val_samples,
+        "net_form": tt.net_form,
+        "time_dist": _time_dist_dict(tt.time_dist),
+        "weighting": _weighting_dict(tt.weighting),
+        "diffusion": _fields_dict(cfg.diffusion),
         "data": _data_dict(cfg.data),
     }
     golden = teacher_validation_loss(net, proto)
@@ -336,10 +328,10 @@ def _cmd_train_teacher(args) -> int:
         kind="teacher",
         arch=net_arch(net),
         arrays=net.state_dict(),
-        step=tt["steps"],
+        step=tt.steps,
         rng_state=rng_state_of(train_rng),
         config_hash=config_hash(cfg),
-        net_form=tt["net_form"],
+        net_form=tt.net_form,
         extra={"validation": {"loss": golden, "protocol": proto}},
     )
     save_checkpoint(out / "teacher.ckpt", ck)
@@ -355,10 +347,10 @@ def _cmd_train_teacher(args) -> int:
         "algorithm": ALGORITHM,
         "seed": cfg.seed,
         "config_hash": config_hash(cfg),
-        "steps": tt["steps"],
+        "steps": tt.steps,
         "validation_loss": golden,
     })
-    print(f"teacher trained for {tt['steps']} steps; validation loss {golden:.6f}")
+    print(f"teacher trained for {tt.steps} steps; validation loss {golden:.6f}")
     print(f"wrote {out / 'teacher.ckpt'}")
     return 0
 
@@ -596,7 +588,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--probes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gradcheck)
+    p.set_defaults(func=_cmd_verify, check="gradcheck")
 
     p = sub.add_parser("plot", help="regenerate the SVG charts of a finished run directory")
     p.add_argument("--run", required=True, help="run directory containing metrics.csv")

@@ -7,13 +7,20 @@ explicit keys override. The parsed result serializes back to a fully
 resolved dict — every default materialized — and that resolved form is a
 fixed point of the parser, which is what makes run directories
 self-describing.
+
+The ``diffusion``, ``generator``, ``distill`` and ``teacher_train`` sections
+have no schema of their own: the fields of their dataclasses name the keys,
+their type hints the JSON types and their defaults the defaults, for the
+parser and the serializer alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -56,17 +63,6 @@ PRESETS: dict[str, dict] = {
         },
     },
 }
-
-TEACHER_TRAIN_DEFAULTS = {
-    "steps": 4000,
-    "lr": 1e-3,
-    "batch_size": 256,
-    "hidden": [64, 64],
-    "net_form": "denoiser",
-    "val_samples": 4096,
-    "log_interval": 200,
-}
-
 
 # ---------------------------------------------------------------------------
 # typed extraction helpers
@@ -124,6 +120,8 @@ def _build(path: str, factory, **kwargs):
     """Construct a library object, re-raising its ValueError with the path."""
     try:
         return factory(**kwargs)
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(path, str(err)) from err
 
@@ -223,128 +221,86 @@ def _weighting_dict(w: WeightingFn) -> dict:
     return {"kind": w.kind}
 
 
-def _parse_diffusion(obj: dict, path: str) -> DiffusionSpec:
-    _check_keys(obj, path, {"sigma_min", "sigma_max", "rho", "K", "sigma_data", "T", "drift"})
-    kwargs = dict(
-        sigma_min=_get(obj, path, "sigma_min", float, 0.002),
-        sigma_max=_get(obj, path, "sigma_max", float, 80.0),
-        rho=_get(obj, path, "rho", float, 7.0),
-        K=_get(obj, path, "K", int, 1000),
-        sigma_data=_get(obj, path, "sigma_data", float, 0.5),
-        drift=_get(obj, path, "drift", float, 0.0),
-    )
-    if "T" in obj:
-        kwargs["T"] = _get(obj, path, "T", float, _REQUIRED)
-    return _build(path, DiffusionSpec, **kwargs)
+# ---------------------------------------------------------------------------
+# sections whose dataclass is the schema
 
 
-def _diffusion_dict(d: DiffusionSpec) -> dict:
-    return {
-        "sigma_min": d.sigma_min, "sigma_max": d.sigma_max, "rho": d.rho,
-        "K": d.K, "sigma_data": d.sigma_data, "T": d.T, "drift": d.drift,
-    }
-
-
-def _parse_generator(obj: dict, path: str) -> GeneratorSpec:
-    _check_keys(obj, path, {"tag", "latent_dim", "widths", "t_star", "activation", "conditioning"})
-    return _build(
-        path, GeneratorSpec,
-        tag=_get(obj, path, "tag", str, "mlp"),
-        latent_dim=_get(obj, path, "latent_dim", int, 2),
-        widths=tuple(_get(obj, path, "widths", list, [])),
-        t_star=_get(obj, path, "t_star", float, 2.5),
-        activation=_get(obj, path, "activation", str, "silu"),
-        conditioning=_get(obj, path, "conditioning", str, "concat-log-t"),
-    )
-
-
-def _generator_dict(g: GeneratorSpec) -> dict:
-    return {
-        "tag": g.tag, "latent_dim": g.latent_dim, "widths": list(g.widths),
-        "t_star": g.t_star, "activation": g.activation, "conditioning": g.conditioning,
-    }
-
-
-_DISTILL_KEYS = {
-    "gen_steps", "score_lr", "gen_lr", "gen_lr_decay", "batch_size", "ratio", "distance",
-    "score_time_dist", "gen_time_dist", "score_weighting", "gen_weighting",
-    "loss_form", "first_factor_grad", "baseline", "score_hidden", "activation",
-    "conditioning", "eval_interval", "eval_samples", "final_eval_samples",
-    "record_wall_time", "divergence_threshold",
+# field types parsed and serialized by a tagged-union pair above
+_TAGGED = {
+    DistanceFn: (_parse_distance, _distance_dict),
+    TimeDistribution: (_parse_time_dist, _time_dist_dict),
+    WeightingFn: (_parse_weighting, _weighting_dict),
 }
 
 
-def _parse_distill(obj: dict, path: str, data_dim: int) -> DistillConfig:
-    _check_keys(obj, path, _DISTILL_KEYS)
-    defaults = DistillConfig(gen_steps=0)
-    if "distance" in obj:
-        distance = _parse_distance(_get(obj, path, "distance", dict, _REQUIRED), _join(path, "distance"))
-    else:
-        # transition scale of the default bounded distance tracks the data dim
-        distance = DistanceFn.pseudo_huber(default_pseudo_huber_c(data_dim))
+@dataclass(frozen=True)
+class TeacherTrainConfig:
+    """The ``teacher_train`` section: denoising score matching of a teacher
+    net on the data spec, and the size of its golden validation replay."""
 
-    def _dist(key, fallback):
+    steps: int = 4000
+    lr: float = 1e-3
+    batch_size: int = 256
+    hidden: tuple[int, ...] = (64, 64)
+    net_form: str = "denoiser"
+    val_samples: int = 4096
+    log_interval: int = 200
+    time_dist: TimeDistribution = field(default_factory=lambda: TimeDistribution.log_normal(-1.2, 1.2))
+    weighting: WeightingFn = field(default_factory=WeightingFn.edm)
+
+    def __post_init__(self):
+        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if self.net_form not in ("denoiser", "score"):
+            raise ConfigError("teacher_train.net_form", f"expected denoiser or score, got {self.net_form!r}")
+        if self.steps < 1 or self.lr <= 0 or self.batch_size < 2 or self.val_samples < 2:
+            raise ConfigError("teacher_train", "steps/lr/batch_size/val_samples out of range")
+
+
+def _kind(hint):
+    """The ``_get`` kind of a field's type hint; ``float | None`` is a float."""
+    if typing.get_origin(hint) is tuple:
+        return list
+    if typing.get_origin(hint) is not None:
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    return hint
+
+
+def _parse_fields(cls, obj: dict, path: str, **fallback):
+    """Build dataclass ``cls`` from the section ``obj``, keyed by its fields.
+
+    A missing key takes its ``fallback`` value where one is given, else the
+    dataclass default; a field with neither is required.
+    """
+    fields = dataclasses.fields(cls)
+    _check_keys(obj, path, {f.name for f in fields})
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        key = f.name
         if key not in obj:
-            return fallback
-        return _parse_time_dist(_get(obj, path, key, dict, _REQUIRED), _join(path, key))
-
-    def _wgt(key, fallback):
-        if key not in obj:
-            return fallback
-        return _parse_weighting(_get(obj, path, key, dict, _REQUIRED), _join(path, key))
-
-    return _build(
-        path, DistillConfig,
-        gen_steps=_get(obj, path, "gen_steps", int, _REQUIRED),
-        score_lr=_get(obj, path, "score_lr", float, defaults.score_lr),
-        gen_lr=_get(obj, path, "gen_lr", float, defaults.gen_lr),
-        gen_lr_decay=_get(obj, path, "gen_lr_decay", str, defaults.gen_lr_decay),
-        batch_size=_get(obj, path, "batch_size", int, defaults.batch_size),
-        ratio=_get(obj, path, "ratio", int, defaults.ratio),
-        distance=distance,
-        score_time_dist=_dist("score_time_dist", defaults.score_time_dist),
-        gen_time_dist=_dist("gen_time_dist", defaults.gen_time_dist),
-        score_weighting=_wgt("score_weighting", defaults.score_weighting),
-        gen_weighting=_wgt("gen_weighting", defaults.gen_weighting),
-        loss_form=_get(obj, path, "loss_form", str, defaults.loss_form),
-        first_factor_grad=_get(obj, path, "first_factor_grad", bool, defaults.first_factor_grad),
-        baseline=_get(obj, path, "baseline", str, defaults.baseline),
-        score_hidden=tuple(_get(obj, path, "score_hidden", list, list(defaults.score_hidden))),
-        activation=_get(obj, path, "activation", str, defaults.activation),
-        conditioning=_get(obj, path, "conditioning", str, defaults.conditioning),
-        eval_interval=_get(obj, path, "eval_interval", int, defaults.eval_interval),
-        eval_samples=_get(obj, path, "eval_samples", int, defaults.eval_samples),
-        final_eval_samples=_get(obj, path, "final_eval_samples", int, defaults.final_eval_samples),
-        record_wall_time=_get(obj, path, "record_wall_time", bool, defaults.record_wall_time),
-        divergence_threshold=_get(obj, path, "divergence_threshold", float, defaults.divergence_threshold),
-    )
+            if key in fallback:
+                kwargs[key] = fallback[key]
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ConfigError(_join(path, key), "missing required key")
+        elif hints[key] in _TAGGED:
+            parse = _TAGGED[hints[key]][0]
+            kwargs[key] = parse(_get(obj, path, key, dict, _REQUIRED), _join(path, key))
+        else:
+            kind = _kind(hints[key])
+            val = _get(obj, path, key, kind, _REQUIRED)
+            kwargs[key] = tuple(val) if kind is list else val
+    return _build(path, cls, **kwargs)
 
 
-def _distill_dict(c: DistillConfig) -> dict:
-    return {
-        "gen_steps": c.gen_steps,
-        "score_lr": c.score_lr,
-        "gen_lr": c.gen_lr,
-        "gen_lr_decay": c.gen_lr_decay,
-        "batch_size": c.batch_size,
-        "ratio": c.ratio,
-        "distance": _distance_dict(c.distance),
-        "score_time_dist": _time_dist_dict(c.score_time_dist),
-        "gen_time_dist": _time_dist_dict(c.gen_time_dist),
-        "score_weighting": _weighting_dict(c.score_weighting),
-        "gen_weighting": _weighting_dict(c.gen_weighting),
-        "loss_form": c.loss_form,
-        "first_factor_grad": c.first_factor_grad,
-        "baseline": c.baseline,
-        "score_hidden": list(c.score_hidden),
-        "activation": c.activation,
-        "conditioning": c.conditioning,
-        "eval_interval": c.eval_interval,
-        "eval_samples": c.eval_samples,
-        "final_eval_samples": c.final_eval_samples,
-        "record_wall_time": c.record_wall_time,
-        "divergence_threshold": c.divergence_threshold,
-    }
+def _fields_dict(obj) -> dict:
+    """The resolved JSON form of a dataclass that ``_parse_fields`` builds."""
+    out = {}
+    for f in dataclasses.fields(obj):
+        val = getattr(obj, f.name)
+        if type(val) in _TAGGED:
+            val = _TAGGED[type(val)][1](val)
+        out[f.name] = list(val) if isinstance(val, tuple) else val
+    return out
 
 
 def _parse_gmm(obj: dict, path: str) -> GmmSpec:
@@ -422,43 +378,6 @@ def _data_dict(d: dict) -> dict:
     return {"kind": "csv", "path": d["raw_path"]}
 
 
-def _parse_teacher_train(obj: dict, path: str) -> dict:
-    _check_keys(obj, path, set(TEACHER_TRAIN_DEFAULTS) | {"time_dist", "weighting"})
-    out = dict(TEACHER_TRAIN_DEFAULTS)
-    out["steps"] = _get(obj, path, "steps", int, out["steps"])
-    out["lr"] = _get(obj, path, "lr", float, out["lr"])
-    out["batch_size"] = _get(obj, path, "batch_size", int, out["batch_size"])
-    out["hidden"] = [int(h) for h in _get(obj, path, "hidden", list, out["hidden"])]
-    out["net_form"] = _get(obj, path, "net_form", str, out["net_form"])
-    out["val_samples"] = _get(obj, path, "val_samples", int, out["val_samples"])
-    out["log_interval"] = _get(obj, path, "log_interval", int, out["log_interval"])
-    if out["net_form"] not in ("denoiser", "score"):
-        raise ConfigError(_join(path, "net_form"), f"expected denoiser or score, got {out['net_form']!r}")
-    if out["steps"] < 1 or out["lr"] <= 0 or out["batch_size"] < 2 or out["val_samples"] < 2:
-        raise ConfigError(path, "steps/lr/batch_size/val_samples out of range")
-    td = obj.get("time_dist")
-    out["time_dist"] = (
-        _parse_time_dist(td, _join(path, "time_dist")) if td is not None
-        else TimeDistribution.log_normal(-1.2, 1.2)
-    )
-    wg = obj.get("weighting")
-    out["weighting"] = (
-        _parse_weighting(wg, _join(path, "weighting")) if wg is not None
-        else WeightingFn.edm()
-    )
-    return out
-
-
-def _teacher_train_dict(tt: dict) -> dict:
-    return {
-        "steps": tt["steps"], "lr": tt["lr"], "batch_size": tt["batch_size"],
-        "hidden": list(tt["hidden"]), "net_form": tt["net_form"],
-        "val_samples": tt["val_samples"], "log_interval": tt["log_interval"],
-        "time_dist": _time_dist_dict(tt["time_dist"]),
-        "weighting": _weighting_dict(tt["weighting"]),
-    }
-
-
 # ---------------------------------------------------------------------------
 # the top-level config
 
@@ -492,7 +411,7 @@ class RunConfig:
     distill: DistillConfig | None
     teacher: dict | None
     data: dict | None
-    teacher_train: dict | None
+    teacher_train: TeacherTrainConfig | None
 
     def resolved(self) -> dict:
         """Every default materialized; a fixed point of ``parse_config``."""
@@ -500,19 +419,19 @@ class RunConfig:
             "tag": self.tag,
             "seed": self.seed,
             "out_dir": self.out_dir,
-            "diffusion": _diffusion_dict(self.diffusion),
-            "generator": _generator_dict(self.generator),
+            "diffusion": _fields_dict(self.diffusion),
+            "generator": _fields_dict(self.generator),
         }
         if self.preset is not None:
             out["preset"] = self.preset
         if self.distill is not None:
-            out["distill"] = _distill_dict(self.distill)
+            out["distill"] = _fields_dict(self.distill)
         if self.teacher is not None:
             out["teacher"] = _teacher_dict(self.teacher)
         if self.data is not None:
             out["data"] = _data_dict(self.data)
         if self.teacher_train is not None:
-            out["teacher_train"] = _teacher_train_dict(self.teacher_train)
+            out["teacher_train"] = _fields_dict(self.teacher_train)
         return out
 
     def canonical_json(self) -> str:
@@ -542,16 +461,18 @@ def parse_config(obj: dict, base_dir: str | Path = ".") -> RunConfig:
     if "teacher" in obj:
         teacher = _parse_teacher(_get(obj, "", "teacher", dict, _REQUIRED), "teacher", base_dir)
 
-    # the default distance scale needs the data dimensionality
-    data_dim = data["dim"] if data is not None else 2
-
     distill = None
     if "distill" in obj:
-        distill = _parse_distill(_get(obj, "", "distill", dict, _REQUIRED), "distill", data_dim)
+        # the transition scale of the default bounded distance tracks the data dim
+        data_dim = data["dim"] if data is not None else 2
+        distill = _parse_fields(
+            DistillConfig, _get(obj, "", "distill", dict, _REQUIRED), "distill",
+            distance=DistanceFn.pseudo_huber(default_pseudo_huber_c(data_dim)),
+        )
     teacher_train = None
     if "teacher_train" in obj:
-        teacher_train = _parse_teacher_train(
-            _get(obj, "", "teacher_train", dict, _REQUIRED), "teacher_train"
+        teacher_train = _parse_fields(
+            TeacherTrainConfig, _get(obj, "", "teacher_train", dict, _REQUIRED), "teacher_train"
         )
 
     return RunConfig(
@@ -559,8 +480,8 @@ def parse_config(obj: dict, base_dir: str | Path = ".") -> RunConfig:
         seed=_get(obj, "", "seed", int, 0),
         out_dir=_get(obj, "", "out_dir", str, ""),
         preset=preset,
-        diffusion=_parse_diffusion(_get(obj, "", "diffusion", dict, {}), "diffusion"),
-        generator=_parse_generator(_get(obj, "", "generator", dict, {}), "generator"),
+        diffusion=_parse_fields(DiffusionSpec, _get(obj, "", "diffusion", dict, {}), "diffusion"),
+        generator=_parse_fields(GeneratorSpec, _get(obj, "", "generator", dict, {}), "generator"),
         distill=distill,
         teacher=teacher,
         data=data,

@@ -9,6 +9,8 @@ VE-diffused marginal (noise N(0, t²I) added on top):
   s_k²+t² and closed-form responsibilities, score and posterior denoiser;
 - :class:`LinearGenerator` — push-forward x = Az + b of z ~ N(0, I), i.e.
   N(b, AAᵀ); the analytically tractable stand-in for a one-step generator.
+  Its ``mean`` and ``cov`` let the Gaussian functions score it; only its
+  sampler draws through the latent.
 
 Every family exposes both a plain-numpy score (bulk Monte-Carlo work) and a
 graph-mode score built from autodiff tensors (``*_score_graph``), which lets
@@ -139,6 +141,15 @@ class LinearGenerator:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.A.ravel(), self.b])
 
+    @property
+    def mean(self) -> np.ndarray:
+        return self.b
+
+    @property
+    def cov(self) -> np.ndarray:
+        """AAᵀ; singular when the latent is narrower than the data."""
+        return self.A @ self.A.T
+
 
 # ---------------------------------------------------------------------------
 # shape plumbing
@@ -172,7 +183,7 @@ def _inv_pd(cov: np.ndarray, what: str) -> np.ndarray:
 # Gaussian
 
 
-def gaussian_score(spec: GaussianSpec, x, t: float) -> np.ndarray:
+def gaussian_score(spec: GaussianSpec | LinearGenerator, x, t: float) -> np.ndarray:
     """Score of N(mu, Sigma + t²I) at x."""
     pts, single = _rows(x)
     inv = _inv_pd(_diffused_cov(spec.cov, t), "diffused covariance")
@@ -180,13 +191,13 @@ def gaussian_score(spec: GaussianSpec, x, t: float) -> np.ndarray:
     return out[0] if single else out
 
 
-def gaussian_log_density(spec: GaussianSpec, x, t: float):
+def gaussian_log_density(spec: GaussianSpec | LinearGenerator, x, t: float):
     from scipy import stats  # not at module level: scipy.stats takes ~0.8 s to import, and only tests need it
 
     pts, single = _rows(x)
     cov = _diffused_cov(spec.cov, t)
-    out = stats.multivariate_normal.logpdf(pts, mean=spec.mean, cov=cov)
-    out = np.atleast_1d(out)
+    _inv_pd(cov, "diffused covariance")
+    out = np.atleast_1d(stats.multivariate_normal.logpdf(pts, mean=spec.mean, cov=cov))
     return float(out[0]) if single else out
 
 
@@ -195,7 +206,7 @@ def gaussian_sample(spec: GaussianSpec, rng: np.random.Generator, n: int) -> np.
     return spec.mean + rng.standard_normal((n, spec.dim)) @ chol.T
 
 
-def gaussian_score_graph(spec: GaussianSpec, x: Tensor, t: float) -> Tensor:
+def gaussian_score_graph(spec: GaussianSpec | LinearGenerator, x: Tensor, t: float) -> Tensor:
     """Graph-mode Gaussian score; scalar t only (one matrix inverse)."""
     if np.ndim(t) != 0:
         raise ValueError("graph-mode Gaussian score takes a scalar time")
@@ -287,42 +298,12 @@ def gmm_denoiser_graph(spec: GmmSpec, x_t: Tensor, t) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear push-forward generator
-
-
-def linear_gen_cov(g: LinearGenerator, t: float) -> np.ndarray:
-    return _diffused_cov(g.A @ g.A.T, t)
-
-
-def linear_gen_score(g: LinearGenerator, x, t: float) -> np.ndarray:
-    """Score of N(b, AAᵀ + t²I) at x."""
-    pts, single = _rows(x)
-    inv = _inv_pd(linear_gen_cov(g, t), "push-forward covariance")
-    out = -(pts - g.b) @ inv
-    return out[0] if single else out
-
-
-def linear_gen_log_density(g: LinearGenerator, x, t: float):
-    from scipy import stats  # see gaussian_log_density
-
-    pts, single = _rows(x)
-    cov = linear_gen_cov(g, t)
-    _inv_pd(cov, "push-forward covariance")
-    out = np.atleast_1d(stats.multivariate_normal.logpdf(pts, mean=g.b, cov=cov))
-    return float(out[0]) if single else out
+# linear push-forward generator (scored as the Gaussian N(b, AAᵀ))
 
 
 def linear_gen_sample(g: LinearGenerator, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draws through the latent, x = A z + b, z ~ N(0, I_latent)."""
     return rng.standard_normal((n, g.latent_dim)) @ g.A.T + g.b
-
-
-def linear_gen_score_graph(g: LinearGenerator, x: Tensor, t: float) -> Tensor:
-    """Graph-mode push-forward score; scalar t only."""
-    if np.ndim(t) != 0:
-        raise ValueError("graph-mode linear-generator score takes a scalar time")
-    x = _as_graph_input(x)
-    inv = _inv_pd(linear_gen_cov(g, float(t)), "push-forward covariance")
-    return T.matmul(g.b - x, Tensor(inv))
 
 
 # ---------------------------------------------------------------------------
@@ -331,22 +312,18 @@ def linear_gen_score_graph(g: LinearGenerator, x: Tensor, t: float) -> Tensor:
 
 def marginal_score(family, x, t: float) -> np.ndarray:
     """Diffused-marginal score of any analytic family."""
-    if isinstance(family, GaussianSpec):
+    if isinstance(family, (GaussianSpec, LinearGenerator)):
         return gaussian_score(family, x, t)
     if isinstance(family, GmmSpec):
         return gmm_score(family, x, t)
-    if isinstance(family, LinearGenerator):
-        return linear_gen_score(family, x, t)
     raise TypeError(f"no analytic score for {type(family).__name__}")
 
 
 def marginal_score_graph(family, x: Tensor, t) -> Tensor:
-    if isinstance(family, GaussianSpec):
+    if isinstance(family, (GaussianSpec, LinearGenerator)):
         return gaussian_score_graph(family, x, t)
     if isinstance(family, GmmSpec):
         return gmm_score_graph(family, x, t)
-    if isinstance(family, LinearGenerator):
-        return linear_gen_score_graph(family, x, t)
     raise TypeError(f"no analytic score for {type(family).__name__}")
 
 
@@ -362,12 +339,10 @@ def sample_clean(family, rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def log_density(family, x, t: float = 0.0):
-    if isinstance(family, GaussianSpec):
+    if isinstance(family, (GaussianSpec, LinearGenerator)):
         return gaussian_log_density(family, x, t)
     if isinstance(family, GmmSpec):
         return gmm_log_density(family, x, t)
-    if isinstance(family, LinearGenerator):
-        return linear_gen_log_density(family, x, t)
     raise TypeError(f"no analytic log-density for {type(family).__name__}")
 
 

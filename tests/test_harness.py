@@ -5,12 +5,16 @@ artifacts can be asserted quickly; determinism contracts are checked by
 byte comparison of emitted files.
 """
 
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from simdistill.diffusion import DiffusionSpec
+from simdistill.distill import DistillConfig, GeneratorSpec
 from simdistill.harness.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -24,6 +28,7 @@ from simdistill.harness.cli import main
 from simdistill.harness.config import (
     PRESETS,
     ConfigError,
+    TeacherTrainConfig,
     config_hash,
     load_config,
     parse_config,
@@ -204,6 +209,89 @@ class TestConfig:
         assert set(PRESETS) == {"edm-cifar", "desk-2d"}
 
 
+# Recorded with the hand-written per-section parsers and serializers that the
+# dataclass-driven ones replaced. A config hash is stamped into every
+# checkpoint, so a change here refuses existing checkpoints.
+CORPUS = json.loads((Path(__file__).parent / "data" / "config_corpus.json").read_text(encoding="utf-8"))
+
+# one valid non-default JSON value for every field of each section dataclass;
+# drift is left out because only its default is accepted
+NON_DEFAULT = {
+    ("diffusion", DiffusionSpec): {
+        "sigma_min": 0.01, "sigma_max": 60.0, "rho": 5.0, "K": 500, "sigma_data": 0.7, "T": 40.0,
+    },
+    ("generator", GeneratorSpec): {
+        "tag": "denoiser-as-generator", "latent_dim": 3, "widths": [2, 8, 2], "t_star": 1.5,
+        "activation": "tanh", "conditioning": "raw",
+    },
+    ("distill", DistillConfig): {
+        "gen_steps": 77, "score_lr": 2e-4, "gen_lr": 3e-4, "gen_lr_decay": "cosine", "batch_size": 64,
+        "ratio": 3, "distance": {"tag": "exp_power", "alpha": 2, "beta": 0.3},
+        "score_time_dist": {"kind": "karr-uniform", "k_max": 300},
+        "gen_time_dist": {"kind": "fixed-grid", "values": [0.5, 1.0, 2.5]},
+        "score_weighting": {"kind": "sid", "C": 1.5}, "gen_weighting": {"kind": "edm", "sigma_data": 0.7},
+        "loss_form": "score", "first_factor_grad": False, "baseline": "di", "score_hidden": [32, 16, 8],
+        "activation": "tanh", "conditioning": "raw", "eval_interval": 7, "eval_samples": 99,
+        "final_eval_samples": 123, "record_wall_time": True, "divergence_threshold": 12345.0,
+    },
+    ("teacher_train", TeacherTrainConfig): {
+        "steps": 12, "lr": 0.002, "batch_size": 32, "hidden": [16, 8], "net_form": "score",
+        "val_samples": 64, "log_interval": 3,
+        "time_dist": {"kind": "log-normal", "p_mean": -1.0, "p_std": 0.5}, "weighting": {"kind": "one"},
+    },
+}
+
+
+def _all_sections():
+    return _base_config(diffusion={}, generator={}, teacher_train={})
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("name", sorted(CORPUS["valid"]))
+    def test_hash_and_canonical_json_match_the_recorded_corpus(self, name):
+        entry = CORPUS["valid"][name]
+        cfg = parse_config(entry["config"])
+        assert cfg.canonical_json() == json.dumps(entry["resolved"], indent=2, sort_keys=True) + "\n"
+        assert config_hash(cfg) == entry["config_hash"]
+
+    @pytest.mark.parametrize("name", sorted(CORPUS["malformed"]))
+    def test_config_errors_match_the_recorded_corpus(self, name):
+        entry = CORPUS["malformed"][name]
+        with pytest.raises(ConfigError) as err:
+            parse_config(entry["config"])
+        assert str(err.value) == entry["error"]
+
+    def test_every_field_has_a_non_default_case(self):
+        for (_, cls), values in NON_DEFAULT.items():
+            names = {f.name for f in dataclasses.fields(cls)}
+            assert set(values) | ({"drift"} if cls is DiffusionSpec else set()) == names
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [(sec, key, val) for (sec, _), values in NON_DEFAULT.items() for key, val in values.items()],
+    )
+    def test_non_default_value_round_trips_and_moves_the_hash(self, section, key, value):
+        base = parse_config(_all_sections())
+        obj = _all_sections()
+        obj[section][key] = value
+        cfg = parse_config(obj)
+        canon = cfg.canonical_json()
+        assert json.loads(canon)[section][key] == value
+        assert json.loads(canon)[section][key] != base.resolved()[section][key]
+        assert parse_config(json.loads(canon)).canonical_json() == canon
+        assert config_hash(cfg) != config_hash(base)
+
+    @pytest.mark.parametrize("key", ["time_dist", "weighting"])
+    def test_teacher_train_null_law_is_rejected(self, key):
+        with pytest.raises(ConfigError, match=rf"^teacher_train\.{key}: expected an object, got None$"):
+            parse_config({"teacher_train": {key: None}})
+
+    def test_teacher_train_hidden_coerced_to_int(self):
+        assert parse_config({"teacher_train": {"hidden": [16.0, 8]}}).teacher_train.hidden == (16, 8)
+        with pytest.raises(ConfigError, match=r"^teacher_train: invalid literal for int"):
+            parse_config({"teacher_train": {"hidden": ["wide"]}})
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 
@@ -367,6 +455,12 @@ class TestCli:
         assert report["all_passed"] is True
         assert any("gradcheck-silu" in c["name"] for c in report["checks"])
         assert "[PASS" in capsys.readouterr().out
+
+    def test_gradcheck_command_is_verify_check_gradcheck(self, tmp_path):
+        assert main(["gradcheck", "--probes", "3", "--seed", "4", "--out", str(tmp_path / "a")]) == 0
+        assert main(["verify", "--check", "gradcheck", "--probes", "3", "--seed", "4",
+                     "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "reports.json").read_bytes() == (tmp_path / "b" / "reports.json").read_bytes()
 
     def test_verify_theorem1_reports_byte_identical(self, tmp_path):
         args = ["verify", "--check", "theorem1", "--seed", "7",

@@ -25,10 +25,7 @@ from simdistill.oracles import (
     gmm_sample,
     gmm_score,
     gmm_score_graph,
-    linear_gen_cov,
-    linear_gen_log_density,
     linear_gen_sample,
-    linear_gen_score,
     log_density,
     marginal_score,
     marginal_score_graph,
@@ -242,14 +239,28 @@ class TestLinearGenerator:
         x = make_rng(24).standard_normal((10, 2))
         for t in (0.5, 2.0):
             np.testing.assert_allclose(
-                linear_gen_score(g, x, t), gaussian_score(gauss, x, t), rtol=1e-12
+                marginal_score(g, x, t), gaussian_score(gauss, x, t), rtol=1e-12
             )
 
-    def test_pushforward_cov(self):
+    def test_pushforward_moments(self):
         A = np.array([[1.0, 0.5], [0.0, 2.0], [1.0, -1.0]])
         b = np.array([1.0, 0.0, -1.0])
         g = LinearGenerator(A, b)
-        np.testing.assert_allclose(linear_gen_cov(g, 0.7), A @ A.T + 0.49 * np.eye(3), rtol=1e-14)
+        np.testing.assert_array_equal(g.mean, b)
+        np.testing.assert_allclose(g.cov, A @ A.T, rtol=1e-14)
+
+    def test_scored_as_the_gaussian_it_pushes_forward(self):
+        # N(b, AAᵀ) as a GaussianSpec gives the same bits in every Gaussian function
+        rng = make_rng(25)
+        g = LinearGenerator(rng.standard_normal((2, 2)), rng.standard_normal(2))
+        gauss = GaussianSpec(g.b, g.A @ g.A.T)
+        x = rng.standard_normal((5, 2))
+        for t in (0.0, 0.4, 2.0):
+            np.testing.assert_array_equal(marginal_score(g, x, t), gaussian_score(gauss, x, t))
+            np.testing.assert_array_equal(log_density(g, x, t), gaussian_log_density(gauss, x, t))
+            np.testing.assert_array_equal(
+                marginal_score_graph(g, Tensor(x), t).data, gaussian_score_graph(gauss, Tensor(x), t).data
+            )
 
     def test_score_is_gradient_of_log_density(self):
         rng = make_rng(26)
@@ -257,16 +268,17 @@ class TestLinearGenerator:
         for t in (0.3, 1.0, 4.0):
             for _ in range(34):
                 x = 2 * rng.standard_normal(3)
-                got = linear_gen_score(g, x, t)
-                ref = fd_score(lambda p: linear_gen_log_density(g, p, t), x)
+                got = marginal_score(g, x, t)
+                ref = fd_score(lambda p: log_density(g, p, t), x)
                 assert np.abs(got - ref).max() / max(np.abs(ref).max(), 1e-4) <= 1e-6
 
     def test_rank_deficient_needs_positive_time(self):
         # 3-D output from 2-D latent: singular at t=0
         g = LinearGenerator(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3))
-        with pytest.raises(ValueError, match="singular"):
-            linear_gen_score(g, np.ones(3), 0.0)
-        linear_gen_score(g, np.ones(3), 0.1)  # diffused covariance is fine
+        for field in (marginal_score, log_density, marginal_score_graph):
+            with pytest.raises(ValueError, match="singular"):
+                field(g, np.ones((1, 3)), 0.0)
+            field(g, np.ones((1, 3)), 0.1)  # diffused covariance is fine
 
     def test_sample_moments(self):
         A = np.array([[1.0, 0.0], [0.5, 0.5]])
@@ -294,7 +306,7 @@ class TestDispatchers:
         lin = LinearGenerator(np.eye(2), np.ones(2))
         np.testing.assert_array_equal(marginal_score(gauss, x, 1.0), gaussian_score(gauss, x, 1.0))
         np.testing.assert_array_equal(marginal_score(gmm, x, 1.0), gmm_score(gmm, x, 1.0))
-        np.testing.assert_array_equal(marginal_score(lin, x, 1.0), linear_gen_score(lin, x, 1.0))
+        np.testing.assert_array_equal(marginal_score(lin, x, 1.0), gaussian_score(lin, x, 1.0))
         for fam in (gauss, gmm, lin):
             graph = marginal_score_graph(fam, Tensor(x, requires_grad=True), 1.0)
             np.testing.assert_allclose(graph.data, marginal_score(fam, x, 1.0), rtol=1e-12)
