@@ -223,11 +223,6 @@ def sample_times(dist: TimeDistribution, spec: DiffusionSpec, rng: np.random.Gen
     return np.asarray(dist.values)[rng.integers(0, len(dist.values), size=n)]
 
 
-def sample_time(dist: TimeDistribution, spec: DiffusionSpec, rng: np.random.Generator) -> float:
-    """One positive draw from the tagged distribution."""
-    return float(sample_times(dist, spec, rng, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # weightings
 

@@ -116,6 +116,13 @@ def _get(obj: dict, path: str, key: str, kind, default):
 _REQUIRED = object()
 
 
+def _check_items(obj: dict, path: str, key: str, kind) -> None:
+    """Raise unless each element of the list at ``key`` is a ``kind`` value to ``_get``."""
+    for i, item in enumerate(obj[key]):
+        name = f"{key}[{i}]"
+        _get({name: item}, path, name, kind, _REQUIRED)
+
+
 def _build(path: str, factory, **kwargs):
     """Construct a library object, re-raising its ValueError with the path."""
     try:
@@ -186,6 +193,7 @@ def _parse_time_dist(obj: dict, path: str) -> TimeDistribution:
     if kind == "fixed-grid":
         _check_keys(obj, path, {"kind", "values"})
         vals = _get(obj, path, "values", list, _REQUIRED)
+        _check_items(obj, path, "values", float)
         return _build(path, TimeDistribution.fixed_grid, values=vals)
     raise ConfigError(_join(path, "kind"), f"unknown time distribution kind {kind!r}")
 
@@ -288,7 +296,10 @@ def _parse_fields(cls, obj: dict, path: str, **fallback):
         else:
             kind = _kind(hints[key])
             val = _get(obj, path, key, kind, _REQUIRED)
-            kwargs[key] = tuple(val) if kind is list else val
+            if kind is list:
+                _check_items(obj, path, key, typing.get_args(hints[key])[0])
+                val = tuple(val)
+            kwargs[key] = val
     return _build(path, cls, **kwargs)
 
 

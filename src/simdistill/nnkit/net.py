@@ -2,25 +2,61 @@
 
 The only architecture here is a plain MLP with an optional time column
 appended to the input, which is all the 2-D score/denoiser experiments need.
+A forward runs the whole layer stack over one block of rows at a time; on the
+tape a call is a single ``mlp`` node with a hand-written backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..rng import make_rng
 from . import tensor as T
 from .tensor import Tensor
 
+# The tape ops of each activation. A network call does not record them one
+# by one: its forward and backward below run the same numpy ops in place.
 ACTIVATIONS = {"relu": T.relu, "silu": T.silu, "tanh": T.tanh}
-# the same elementwise ops as ACTIVATIONS, written into their argument
-_INPLACE_ACTIVATIONS = {
-    "relu": lambda h: np.maximum(h, 0.0, out=h),
-    "silu": lambda h: np.multiply(h, T._sigmoid(h), out=h),
-    "tanh": lambda h: np.tanh(h, out=h),
-}
-_BLOCK_ROWS = 256  # 256 rows of a 64-wide layer: 128 KiB, within L2
 CONDITIONINGS = ("raw", "concat-t", "concat-log-t")
+# relu and tanh written into their argument; SiLU keeps its σ apart
+_INPLACE_ACTIVATIONS = {
+    "relu": lambda z: np.maximum(z, 0.0, out=z),
+    "tanh": lambda z: np.tanh(z, out=z),
+}
+
+# Rows per block of a forward. A training batch of ≤ 512 rows is one block,
+# so it runs the same products as a whole-batch forward. On the pool, each
+# numpy call of a block releases and retakes the interpreter lock, and calls
+# of a few µs left the workers waiting on it: on a 2-vCPU Xeon with one BLAS
+# thread, 10⁴ rows took 5.9 ms in 1024-row blocks and 6.9 ms in 512-row ones,
+# against 9.8 ms for the unblocked forward, which 256-row blocks beat by only
+# 14%. The blocks are fixed, so the output does not depend on how they are
+# shared out.
+_BLOCK_ROWS = 1024
+# A call of at least this many blocks (2048 rows) runs them on a
+# kernels.map_blocks pool. At 512 rows a pool was slower than one thread
+# (0.58 against 0.46 ms), so training batches stay on the calling thread.
+_POOL_MIN_BLOCKS = 2
+# A multi-threaded OpenBLAS splits a product over its own threads once
+# M·N·K passes 4·65536, and those threads then fight the pool's workers: with
+# two BLAS threads, 10⁴ rows took 20.6 ms on the pool against 8.3 ms for one
+# unblocked forward. On the pool, products are cut into row chunks below
+# that size; 64-row chunks of a 64-wide layer matched the whole product bit
+# for bit.
+_SERIAL_BLAS_MNK = 4 * 65536
+
+
+def _matmul_rows(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+    """``h @ w`` into ``out``, in even row chunks of at most _SERIAL_BLAS_MNK.
+
+    The chunks are even, so none is a single row unless ``h`` is (numpy sends
+    a one-row product to gemv, whose last bits differ from gemm's).
+    """
+    parts = -(-len(h) * w.size // _SERIAL_BLAS_MNK)
+    for c in range(parts):
+        lo, hi = len(h) * c // parts, len(h) * (c + 1) // parts
+        np.matmul(h[lo:hi], w, out=out[lo:hi])
 
 
 class MlpNet:
@@ -49,6 +85,8 @@ class MlpNet:
     ):
         if len(widths) < 2:
             raise ValueError(f"need at least input and output widths, got {widths}")
+        if min(widths) < 1:
+            raise ValueError(f"every width must be at least 1, got {widths}")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}, expected one of {sorted(ACTIVATIONS)}")
         if conditioning not in CONDITIONINGS:
@@ -148,39 +186,133 @@ class MlpNet:
         col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (n, 1))
         return np.log(col) if self.conditioning == "concat-log-t" else col
 
+    def _input(self, x: np.ndarray, t) -> np.ndarray:
+        """The first layer's input: ``x``, with the time column when conditioned."""
+        self._check_input(x.shape, t)
+        if self.conditioning == "raw":
+            return x
+        return np.concatenate([x, self._time_column(t, x.shape[0])], axis=1)
+
+    def _hidden_arrays(self, rows: int, keep: bool) -> list[tuple]:
+        """Per hidden layer, (pre-activation, σ, output) arrays of ``rows`` rows.
+
+        relu and tanh run in place, their three arrays one and σ unused. SiLU
+        keeps its pre-activation and σ for the backward, and writes its
+        output apart from them only with ``keep``.
+        """
+        arrays = []
+        for w, _ in self.layers[:-1]:
+            z = np.empty((rows, w.shape[1]))
+            if self.activation != "silu":
+                arrays.append((z, None, z))
+            else:
+                arrays.append((z, np.empty_like(z), np.empty_like(z) if keep else z))
+        return arrays
+
+    def _forward(self, inp: np.ndarray, saved: list[tuple] | None) -> np.ndarray:
+        """The network output on the rows of ``inp``, one block of rows at a time.
+
+        A block of _BLOCK_ROWS rows runs the whole layer stack: per layer one
+        matmul into the block's rows, then the bias and the activation in
+        place. With ``saved`` (full-size ``_hidden_arrays``, which the tape
+        keeps) a block writes its rows of every hidden layer there; without,
+        it works in per-worker scratch. Every product of up to 6000 rows, and
+        every 64-wide product, matched the whole-batch one bit for bit; from
+        8192 rows on, the 2-wide output product takes another gemm path than
+        its blocks, which moved 10⁴-row outputs by ≤ 9.1e-16·max|out|.
+        """
+        n = len(inp)
+        rows = min(n, _BLOCK_ROWS)
+        # over several blocks each bias is tiled to a block's rows once: a
+        # flat add, where adding a bias row by broadcast took three times as
+        # long; a single block adds the row itself
+        reps = rows if n > _BLOCK_ROWS else 1
+        tiled = [(w.data, np.tile(b.data, (reps, 1))) for w, b in self.layers]
+        hidden, (w_out, b_out) = tiled[:-1], tiled[-1]
+        out = np.empty((n, w_out.shape[1]))
+        inplace = _INPLACE_ACTIVATIONS.get(self.activation)
+        widest = max([w.shape[1] for w, _ in hidden], default=0)
+
+        def make_scratch():
+            hidden_scratch = self._hidden_arrays(rows, keep=False) if saved is None else None
+            return hidden_scratch, np.empty(rows * widest)
+
+        def block(lo: int, scratch) -> None:
+            hi = min(lo + _BLOCK_ROWS, n)
+            arrays, at = (saved, slice(lo, hi)) if saved is not None else (scratch[0], slice(0, hi - lo))
+            h = inp[lo:hi]
+            for (w, b), (z, sig, post) in zip(hidden, arrays):
+                z = z[at]
+                matmul(h, w, out=z)
+                z += b[: hi - lo]
+                if inplace is not None:
+                    h = inplace(z)
+                else:
+                    work = scratch[1][: z.size].reshape(z.shape)
+                    h = np.multiply(z, T._sigmoid(z, out=sig[at], work=work), out=post[at])
+            matmul(h, w_out, out=out[lo:hi])
+            out[lo:hi] += b_out[: hi - lo]
+
+        blocks = range(0, n, _BLOCK_ROWS)
+        pooled = len(blocks) >= _POOL_MIN_BLOCKS
+        matmul = _matmul_rows if pooled else np.matmul
+        if pooled:
+            kernels.map_blocks(block, blocks, make_scratch)
+        else:
+            scratch = make_scratch()
+            for lo in blocks:
+                block(lo, scratch)
+        return out
+
     def __call__(self, x, t=None) -> Tensor:
-        """Forward pass on the tape; ``t`` is a scalar or one value per row."""
-        h = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-        self._check_input(h.shape, t)
-        if self.conditioning != "raw":
-            h = T.concat([h, Tensor(self._time_column(t, h.shape[0]))], axis=1)
-        act = ACTIVATIONS[self.activation]
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = T.dense(h, w, b)
-            if i != last:
-                h = act(h)
-        return h
+        """Forward pass on the tape as one ``mlp`` node; ``t`` is a scalar or one value per row.
+
+        The node keeps each hidden layer in full-size arrays. Its VJP is one
+        loop down the layers that runs the ops of ``tensor.dense`` and of the
+        activation's VJP in the order a chain of those nodes would, so the
+        gradients are that chain's to the bit: weight and bias gradients come
+        from full-batch products, and an operand that needs no gradient gets
+        ``None``. A call with nothing to differentiate keeps nothing.
+        """
+        xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+        inp = self._input(xt.data, t)
+        parents = (xt, *(p for layer in self.layers for p in layer))
+        if not any(p.requires_grad for p in parents):
+            return T.primitive(self._forward(inp, None), "mlp", parents, None)
+        saved = self._hidden_arrays(len(inp), keep=True)
+        out = self._forward(inp, saved)
+        layers = list(self.layers)
+        # needs[i]: whether the input of layer i needs a gradient
+        needs = [xt.requires_grad]
+        for w, b in layers[:-1]:
+            needs.append(needs[-1] or w.requires_grad or b.requires_grad)
+        act_grad = {"relu": T._relu_grad, "tanh": T._tanh_grad}.get(self.activation)
+
+        def vjp(g):
+            grads = [None] * len(parents)
+            for i in reversed(range(len(layers))):
+                w, b = layers[i]
+                h = inp if i == 0 else saved[i - 1][2]
+                if w.requires_grad:
+                    grads[1 + 2 * i] = h.T @ g
+                if b.requires_grad:
+                    grads[2 + 2 * i] = T._unbroadcast(g, b.shape)
+                if not needs[i]:
+                    break
+                g = g @ w.data.T
+                if i == 0:
+                    grads[0] = g if self.conditioning == "raw" else np.ascontiguousarray(g[:, : xt.shape[1]])
+                elif act_grad is not None:
+                    g = act_grad(saved[i - 1][2], g)
+                else:
+                    g = T._silu_grad(saved[i - 1][0], saved[i - 1][1], g)
+            return tuple(grads)
+
+        return T.primitive(out, "mlp", parents, vjp)
 
     def predict(self, x, t=None) -> np.ndarray:
         """The forward pass on plain arrays, recording nothing.
 
-        Bit-identical to ``self(x, t).data``: each layer runs one full-batch
-        matmul (row chunks of it would not be bit-identical), then adds the
-        bias and applies the activation in place over blocks of
-        ``_BLOCK_ROWS`` rows, so each block stays in cache between the ops.
+        Bit-identical to ``self(x, t).data``, which runs the same blocks.
         """
-        h = np.asarray(x, dtype=np.float64)
-        self._check_input(h.shape, t)
-        if self.conditioning != "raw":
-            h = np.concatenate([h, self._time_column(t, h.shape[0])], axis=1)
-        act = _INPLACE_ACTIVATIONS[self.activation]
-        last = len(self.layers) - 1
-        for i, (w, b) in enumerate(self.layers):
-            h = h @ w.data
-            for lo in range(0, h.shape[0], _BLOCK_ROWS):
-                blk = h[lo : lo + _BLOCK_ROWS]
-                blk += b.data
-                if i != last:
-                    act(blk)
-        return h
+        return self._forward(self._input(np.asarray(x, dtype=np.float64), t), None)

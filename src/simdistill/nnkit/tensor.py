@@ -7,8 +7,9 @@ primitives reachable from a root; ``backward`` replays it in reverse. Replays
 are pure: running backward twice on an unchanged tape produces bit-identical
 gradients.
 
-Layers record one node each through :func:`dense` (matmul plus bias, in
-place), whose VJP computes no gradient for an operand that needs none. A
+An operation defined elsewhere records itself as one node through
+:func:`primitive`: a whole ``MlpNet`` call is one ``mlp`` node whose VJP
+uses the ops of :func:`dense` and the activations here, in the same order. A
 forward that is never differentiated does not belong on the tape at all:
 ``MlpNet.predict`` runs it on plain arrays.
 
@@ -249,44 +250,55 @@ def powi(a: Tensor, n: int) -> Tensor:
     return _make(out, "powi", (a,), lambda g: (g * n * a.data ** (n - 1),))
 
 
+def _relu_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The relu VJP; ``x`` is relu's input or its output, positive alike."""
+    return g * (x > 0.0)
+
+
 def relu(a: Tensor) -> Tensor:
     out = np.maximum(a.data, 0.0)
-    return _make(out, "relu", (a,), lambda g: (g * (a.data > 0.0),))
+    return _make(out, "relu", (a,), lambda g: (_relu_grad(a.data, g),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
+def _sigmoid(x: np.ndarray, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """σ(x), into ``out`` and with ``work`` as its temporary when given."""
     # 1/(1+e) for x ≥ 0 and e/(1+e) for x < 0, with e = exp(-|x|) ≤ 1 so no
     # exp can overflow. The branch is a max against the 0/1 sign mask rather
     # than a masked gather or np.where, which are several times slower than
     # the exp itself; the work is done in place to keep to two temporaries.
-    ex = np.abs(x)
+    ex = np.abs(x, out=work)
     np.negative(ex, out=ex)
     np.exp(ex, out=ex)
-    out = np.maximum(x >= 0, ex)
+    out = np.maximum(x >= 0, ex, out=out)
     ex += 1.0
     out /= ex
     return out
 
 
+def _silu_grad(a: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g·σ·(1 + a·(1 − σ)), the SiLU VJP, built in one temporary."""
+    d = 1.0 - sig
+    d *= a
+    d += 1.0
+    d *= sig
+    d *= g
+    return d
+
+
 def silu(a: Tensor) -> Tensor:
     sig = _sigmoid(np.asarray(a.data, dtype=np.float64))
     out = a.data * sig
+    return _make(out, "silu", (a,), lambda g: (_silu_grad(a.data, sig, g),))
 
-    def vjp(g):
-        # g·σ·(1 + a·(1 − σ)), built in one temporary
-        d = 1.0 - sig
-        d *= a.data
-        d += 1.0
-        d *= sig
-        d *= g
-        return (d,)
 
-    return _make(out, "silu", (a,), vjp)
+def _tanh_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The tanh VJP from tanh's output."""
+    return g * (1.0 - out * out)
 
 
 def tanh(a: Tensor) -> Tensor:
     out = np.tanh(a.data)
-    return _make(out, "tanh", (a,), lambda g: (g * (1.0 - out * out),))
+    return _make(out, "tanh", (a,), lambda g: (_tanh_grad(out, g),))
 
 
 def absolute(a: Tensor) -> Tensor:

@@ -18,7 +18,6 @@ from simdistill.diffusion import (
     karras_grid,
     karras_sigma,
     perturb,
-    sample_time,
     sample_times,
     score_from_denoiser,
     weight_batch,
@@ -182,11 +181,6 @@ class TestTimeDistributions:
         dist = TimeDistribution.fixed_grid(values)
         t = sample_times(dist, SPEC, make_rng(5), 1000)
         assert set(np.unique(t)) == set(values)
-
-    def test_sample_time_scalar(self):
-        dist = TimeDistribution.log_normal(-1.2, 1.2)
-        t = sample_time(dist, SPEC, make_rng(9))
-        assert np.isscalar(t) and t > 0
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@
 mechanics. The heavier statistical checks live in the acceptance suite.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -421,6 +423,42 @@ def test_tape_free_sampling_leaves_the_loop_bit_identical(monkeypatch):
     assert a.keys() == b.keys()
     assert all(a[k].tobytes() == b[k].tobytes() for k in a)
     assert fast.final_samples.tobytes() == slow.final_samples.tobytes()
+
+
+# blake2b-128 digests of a 30-step desk-2d ring-8 run (evaluations every 10
+# steps at 512 samples, the final one at 2048): of its rows' CSV lines, and of
+# the final generator then online parameters in sorted-name order. Recorded
+# from the per-layer tape forward (one dense node per layer, then SiLU) that
+# the single mlp node replaced; the training path must keep every byte.
+GOLDEN_DIGESTS = {
+    "gmm": ("85d58e02290b0ee8c541108bcd42b7fc", "7eabb64e95fef52569e820577eb9c356"),
+    "mlp": ("c501b835de29bd6e72a5591c6da63ca2", "7a21ca40cfed5eeee4e4df2b5ecccb85"),
+}
+
+
+@pytest.mark.parametrize("teacher_kind", sorted(GOLDEN_DIGESTS))
+def test_training_path_reproduces_its_golden_digests(teacher_kind):
+    from simdistill.harness.config import parse_config
+
+    cfg = parse_config({"tag": "ring8", "seed": 0, "preset": "desk-2d", "distill": {
+        "gen_steps": 30, "eval_interval": 10, "eval_samples": 512, "final_eval_samples": 2048,
+    }})
+    ring = ring_gmm(8, 4.0, 0.3)
+    teacher = ring if teacher_kind == "gmm" else MlpNet([2, 32, 32, 2], conditioning="concat-log-t", seed=5)
+    res = run_distillation(cfg.distill, teacher, ring, seed=cfg.seed, gspec=cfg.generator)
+
+    def digest(chunks):
+        h = hashlib.blake2b(digest_size=16)
+        for chunk in chunks:
+            h.update(chunk)
+        return h.hexdigest()
+
+    states = (res.generator.net.state_dict(), res.online_net.state_dict())
+    got = (
+        digest(r.to_csv().encode() for r in res.rows),
+        digest(state[k].tobytes() for state in states for k in sorted(state)),
+    )
+    assert got == GOLDEN_DIGESTS[teacher_kind]
 
 
 class TestConfigValidation:

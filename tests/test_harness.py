@@ -286,10 +286,37 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=rf"^teacher_train\.{key}: expected an object, got None$"):
             parse_config({"teacher_train": {key: None}})
 
-    def test_teacher_train_hidden_coerced_to_int(self):
-        assert parse_config({"teacher_train": {"hidden": [16.0, 8]}}).teacher_train.hidden == (16, 8)
-        with pytest.raises(ConfigError, match=r"^teacher_train: invalid literal for int"):
-            parse_config({"teacher_train": {"hidden": ["wide"]}})
+    @pytest.mark.parametrize(
+        "section,key,values,path",
+        [
+            ("distill", "score_hidden", [False, 8.9], "distill.score_hidden[0]: expected an integer, got False"),
+            ("distill", "score_hidden", [8, 8.9], "distill.score_hidden[1]: expected an integer, got 8.9"),
+            ("teacher_train", "hidden", [1.5, True], "teacher_train.hidden[0]: expected an integer, got 1.5"),
+            ("teacher_train", "hidden", [16.0, 8], "teacher_train.hidden[0]: expected an integer, got 16.0"),
+            ("teacher_train", "hidden", ["wide"], "teacher_train.hidden[0]: expected an integer, got 'wide'"),
+            ("generator", "widths", [2, 64, True, 2], "generator.widths[2]: expected an integer, got True"),
+        ],
+    )
+    def test_width_lists_take_integers_only(self, section, key, values, path):
+        obj = _base_config()
+        obj.setdefault(section, {})[key] = values
+        with pytest.raises(ConfigError) as err:
+            parse_config(obj)
+        assert str(err.value) == path
+
+    def test_width_lists_keep_their_integers(self):
+        obj = _base_config(teacher_train={"hidden": [16, 8]}, generator={"widths": [2, 32, 2]})
+        obj["distill"]["score_hidden"] = [32, 16]
+        cfg = parse_config(obj)
+        assert (cfg.teacher_train.hidden, cfg.generator.widths, cfg.distill.score_hidden) == ((16, 8), (2, 32, 2), (32, 16))
+
+    @pytest.mark.parametrize("value", [True, "0.5", None])
+    def test_fixed_grid_values_take_numbers_only(self, value):
+        obj = _base_config()
+        obj["distill"]["gen_time_dist"] = {"kind": "fixed-grid", "values": [0.5, value]}
+        with pytest.raises(ConfigError) as err:
+            parse_config(obj)
+        assert str(err.value) == f"distill.gen_time_dist.values[1]: expected a number, got {value!r}"
 
 
 # ---------------------------------------------------------------------------

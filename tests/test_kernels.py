@@ -3,7 +3,9 @@ their determinism, and the MMD sums' independence of the worker count.
 """
 
 import re
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +158,53 @@ class TestMmdSums:
         Y = rng.standard_normal((12, 2))
         with pytest.raises(ValueError, match=re.escape(named)):
             kernels.mmd_sums(X, Y, bandwidths)
+
+
+class TestMapBlocks:
+    def test_results_come_back_in_block_order_with_scratch_made_here(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        makers = []
+
+        def make_scratch():
+            makers.append(threading.get_ident())
+            return len(makers)
+
+        out = kernels.map_blocks(lambda block, scratch: (block, scratch), range(10), make_scratch)
+        assert [block for block, _ in out] == list(range(10))
+        assert makers == [threading.get_ident()] * 3  # one per worker, all on this thread
+        assert {scratch for _, scratch in out} <= {1, 2, 3}
+
+    def test_a_block_error_reaches_the_caller_after_the_workers_end(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+
+        def block(i, _):
+            if i == 7:
+                raise RuntimeError("block 7")
+
+        with pytest.raises(RuntimeError, match="block 7"):
+            kernels.map_blocks(block, range(20), lambda: None)
+        assert threading.active_count() == baseline
+
+    def test_every_block_runs_once_under_contention(self, monkeypatch):
+        # more workers than CPUs and a short switch interval: a block taken
+        # twice or lost shows in the counts
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 8)
+        runs = [0] * 3000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            def block(i, _):
+                runs[i] += 1
+                return i
+
+            start = time.perf_counter()
+            out = kernels.map_blocks(block, range(len(runs)), lambda: None)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.perf_counter() - start < 30
+        assert out == list(range(len(runs))) and runs == [1] * len(runs)
 
 
 class TestGmmFields:

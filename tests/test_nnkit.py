@@ -1,18 +1,22 @@
 """Autodiff engine, MLP and Adam checked against independent oracles:
 
 - central finite differences for every primitive's backward rule;
-- a straight-line numpy re-implementation of the MLP forward;
+- a straight-line numpy re-implementation of the MLP forward, and the chain
+  of per-layer tape nodes for its gradients;
 - a scalar recurrence re-implementation of Adam;
 - a read-only upstream gradient for every VJP, which none may write into.
 """
 
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from simdistill import kernels
 from simdistill.nnkit import Adam, MlpNet, Tape, Tensor, backward
+from simdistill.nnkit import net as net_mod
 from simdistill.nnkit import tensor as T
 from simdistill.oracles import gmm_score_graph, ring_gmm
 
@@ -227,6 +231,7 @@ def _vjp_cases():
         T.reshape(a, (4, 3)),
         T.concat([a, b], axis=1),
         gmm_score_graph(ring_gmm(4, 2.0, 0.5), T.reshape(a, (6, 2)), 0.3),
+        *(MlpNet([4, 5, 5, 2], activation=act, conditioning="concat-t", seed=0)(a, 0.5) for act in ("relu", "silu", "tanh")),
     ]
 
 
@@ -249,8 +254,12 @@ def test_vjps_never_write_into_the_upstream_gradient():
 # -- MLP ---------------------------------------------------------------------
 
 
-def straight_line_forward(net, x, t):
-    """Pure-numpy mirror of MlpNet.__call__ for oracle comparison."""
+def straight_line_forward(net, x, t, block=None):
+    """Pure-numpy mirror of MlpNet.__call__ for oracle comparison.
+
+    With ``block``, the layer stack runs on each ``block`` rows in turn, the
+    row blocks MlpNet's products run on; without, on the whole batch.
+    """
     h = np.asarray(x, dtype=np.float64)
     if net.conditioning != "raw":
         col = np.empty((h.shape[0], 1))
@@ -258,6 +267,11 @@ def straight_line_forward(net, x, t):
         if net.conditioning == "concat-log-t":
             col = np.log(col)
         h = np.concatenate([h, col], axis=1)
+    rows = block or len(h)
+    return np.concatenate([_straight_line_layers(net, h[lo : lo + rows]) for lo in range(0, len(h), rows)])
+
+
+def _straight_line_layers(net, h):
     def stable_sigmoid(z):
         out = np.empty_like(z)
         pos = z >= 0
@@ -289,12 +303,12 @@ def test_mlp_forward_matches_straight_line_numpy(activation, conditioning):
     assert np.array_equal(out.data, ref)
 
 
-@pytest.mark.parametrize("n", [1, 255, 256, 257, 10_000])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025, 2047, 2048, 10_000])
 @pytest.mark.parametrize("per_row_t", [False, True])
 @pytest.mark.parametrize("conditioning", ["raw", "concat-t", "concat-log-t"])
 @pytest.mark.parametrize("activation", ["relu", "silu", "tanh"])
 def test_mlp_predict_is_bit_identical_to_tape_forward(activation, conditioning, per_row_t, n):
-    # batch sizes straddle the 256-row blocks of the in-place activation
+    # batch sizes straddle the row blocks and the pool's threshold
     net = MlpNet([2, 64, 64, 2], activation=activation, conditioning=conditioning, seed=8)
     rng = np.random.default_rng(n)
     x = 3.0 * rng.normal(size=(n, 2))
@@ -302,7 +316,32 @@ def test_mlp_predict_is_bit_identical_to_tape_forward(activation, conditioning, 
     out = net.predict(x, t)
     assert isinstance(out, np.ndarray)
     assert np.array_equal(out, net(x, t).data)
-    assert np.array_equal(out, straight_line_forward(net, x, t))
+    assert np.array_equal(out, straight_line_forward(net, x, t, block=net_mod._BLOCK_ROWS))
+    # whole-batch products differ from the blocks' only in the last bits
+    full = straight_line_forward(net, x, t)
+    assert np.abs(out - full).max() <= 1e-14 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_mlp_forward_bits_do_not_depend_on_the_worker_count(workers, monkeypatch):
+    net = MlpNet([2, 64, 64, 2], conditioning="concat-log-t", seed=2)
+    rng = np.random.default_rng(10)
+    x, t = rng.normal(size=(10_000, 2)), rng.uniform(0.01, 5.0, size=10_000)
+    reference = straight_line_forward(net, x, t, block=net_mod._BLOCK_ROWS)
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
+    baseline = threading.active_count()
+    assert np.array_equal(net.predict(x, t), reference)
+    xt = Tensor(x, requires_grad=True)
+    out = net(xt, t)
+    assert np.array_equal(out.data, reference)
+    assert threading.active_count() == baseline, "pool threads outlived the call"
+    # the tape's saved hidden layers, written by the workers, give the
+    # gradients a one-worker forward gives
+    grads = backward(T.tsum(T.square(out)), [xt, *net.parameters()])
+    monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+    xt1 = Tensor(x, requires_grad=True)
+    for g, g1 in zip(grads, backward(T.tsum(T.square(net(xt1, t))), [xt1, *net.parameters()])):
+        assert np.array_equal(g, g1)
 
 
 def _error_message(fn):
@@ -331,12 +370,76 @@ def test_mlp_predict_raises_what_the_tape_forward_raises():
     assert len(set(messages)) == len(cases)
 
 
-def test_mlp_forward_records_one_dense_node_per_layer():
+def test_mlp_forward_records_one_mlp_node_per_call():
     net = MlpNet([2, 16, 16, 16, 2], conditioning="concat-log-t", seed=3)
     tape = Tape.trace(T.tsum(net(np.ones((5, 2)), 0.5)))
-    ops = [node.op for node in tape.nodes]
-    assert ops.count("dense") == len(net.layers)
-    assert "matmul" not in ops and "add" not in ops
+    assert [node.op for node in tape.nodes if node.parents] == ["mlp", "sum"]
+
+
+def _chain_forward(net, x, t):
+    """MlpNet.__call__ as the chain of per-layer tape nodes it replaces."""
+    h = x
+    if net.conditioning != "raw":
+        col = np.broadcast_to(np.asarray(t, dtype=np.float64).reshape(-1, 1), (x.shape[0], 1))
+        h = T.concat([h, Tensor(np.log(col) if net.conditioning == "concat-log-t" else col)], axis=1)
+    act = getattr(T, net.activation)
+    for i, (w, b) in enumerate(net.layers):
+        h = T.dense(h, w, b)
+        if i != len(net.layers) - 1:
+            h = act(h)
+    return h
+
+
+@pytest.mark.parametrize("conditioning", ["raw", "concat-t", "concat-log-t"])
+@pytest.mark.parametrize("activation", ["relu", "silu", "tanh"])
+def test_mlp_node_gradients_match_the_layer_chain_to_the_bit(activation, conditioning):
+    net = MlpNet([2, 64, 64, 2], activation=activation, conditioning=conditioning, seed=5)
+    rng = np.random.default_rng(6)
+    x, t = rng.normal(size=(300, 2)), rng.uniform(0.01, 5.0, size=300)
+    results = []
+    for forward in (net.__call__, lambda xt, tt: _chain_forward(net, xt, tt)):
+        xt = Tensor(x, requires_grad=True)
+        out = forward(xt, t)
+        results.append((out.data, backward(T.tsum(T.silu(out)), [xt, *net.parameters()])))
+    (out, grads), (chain_out, chain_grads) = results
+    assert np.array_equal(out, chain_out)
+    for g, g_chain in zip(grads, chain_grads):
+        assert np.array_equal(g, g_chain)
+
+
+def test_mlp_vjp_returns_none_for_operands_without_grad():
+    net = MlpNet([2, 8, 8, 2], conditioning="concat-t", seed=1)
+    x = np.random.default_rng(2).normal(size=(4, 2))
+    frozen_input = net(x, 0.5)  # parameters only
+    pieces = frozen_input.vjp(np.ones_like(frozen_input.data))
+    assert pieces[0] is None and all(p.shape == q.shape for p, q in zip(pieces[1:], net.parameters()))
+    xt = Tensor(x, requires_grad=True)
+    frozen_net = net.detached()(xt, 0.5)  # input only
+    pieces = frozen_net.vjp(np.ones_like(frozen_net.data))
+    assert pieces[0].shape == x.shape and all(p is None for p in pieces[1:])
+
+
+@pytest.mark.parametrize("conditioning", ["raw", "concat-t", "concat-log-t"])
+@pytest.mark.parametrize("activation", ["relu", "silu", "tanh"])
+def test_mlp_node_gradient_matches_fd(activation, conditioning):
+    from simdistill.verify import gradcheck_suite
+
+    t = np.linspace(0.2, 3.0, 5)
+
+    def mlp(x, *params):
+        net = MlpNet([2, 6, 5, 2], activation=activation, conditioning=conditioning, seed=0)
+        net.layers = list(zip(params[0::2], params[1::2]))
+        return net(x, t)
+
+    frozen = MlpNet([2, 6, 5, 2], activation=activation, conditioning=conditioning, seed=4).detached()
+    shapes = [(5, 2), (2 + (conditioning != "raw"), 6), (6,), (6, 5), (5,), (5, 2), (2,)]
+    cases = {
+        "mlp": (mlp, [lambda r, s=s: r.standard_normal(s) for s in shapes]),
+        "mlp-detached": (lambda x: frozen(x, t), [lambda r: r.standard_normal((5, 2))]),
+    }
+    reports = {r.name: r for r in gradcheck_suite(seed=3, probes=10, cases=cases)}
+    for name in cases:
+        assert reports[f"gradcheck-{name}"].verdict == "pass", reports[f"gradcheck-{name}"].detail
 
 
 def test_dense_matches_matmul_plus_bias_to_the_bit():
@@ -440,6 +543,12 @@ def test_mlp_requires_time_when_conditioned():
     net = MlpNet([2, 8, 2], conditioning="concat-t", seed=0)
     with pytest.raises(ValueError, match="time"):
         net(np.ones((4, 2)))
+
+
+def test_mlp_rejects_widths_below_one():
+    for widths in ([2, 0, 2], [2, 8, -1], [0, 2]):
+        with pytest.raises(ValueError, match="at least 1"):
+            MlpNet(widths)
 
 
 def test_mlp_rejects_unknown_tags():
