@@ -48,6 +48,7 @@ from .nnkit.tensor import Tensor
 from .oracles import (
     GaussianSpec,
     GmmSpec,
+    LinearGenerator,
     gmm_denoiser_graph,
     gmm_score_graph,
     sample_clean,
@@ -98,10 +99,19 @@ class GeneratorSpec:
 
 
 class MlpGenerator:
-    def __init__(self, widths: tuple[int, ...], activation: str, seed: int):
-        self.latent_dim = widths[0]
-        self.data_dim = widths[-1]
-        self.net = MlpNet(list(widths), activation=activation, conditioning="raw", seed=seed)
+    """One-step generator x = g(z) over an ``MlpNet``.
+
+    With ``t_star`` None the net maps z ~ N(0, I) to x. With ``t_star`` set
+    the net is a denoiser evaluated at that fixed level, fed z ~ N(0, t*² I):
+    g(z) = net(z, t*), the natural student when the teacher is itself a
+    denoiser.
+    """
+
+    def __init__(self, net: MlpNet, t_star: float | None = None):
+        self.net = net
+        self.t_star = None if t_star is None else float(t_star)
+        self.latent_dim = net.widths[0]
+        self.data_dim = net.widths[-1]
 
     def named_parameters(self):
         return self.net.named_parameters()
@@ -110,32 +120,8 @@ class MlpGenerator:
         return self.net.parameters()
 
     def sample_latent(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.latent_dim))
-
-    def forward(self, z: np.ndarray) -> Tensor:
-        return self.net(z)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.net.predict(self.sample_latent(rng, n))
-
-
-class DenoiserGenerator:
-    """Denoiser network reused as a one-step generator: g(z) = d(z, t*)."""
-
-    def __init__(self, widths: tuple[int, ...], t_star: float, activation: str, conditioning: str, seed: int):
-        self.latent_dim = widths[0]
-        self.data_dim = widths[-1]
-        self.t_star = float(t_star)
-        self.net = MlpNet(list(widths), activation=activation, conditioning=conditioning, seed=seed)
-
-    def named_parameters(self):
-        return self.net.named_parameters()
-
-    def parameters(self):
-        return self.net.parameters()
-
-    def sample_latent(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.t_star * rng.standard_normal((n, self.latent_dim))
+        z = rng.standard_normal((n, self.latent_dim))
+        return z if self.t_star is None else self.t_star * z
 
     def forward(self, z: np.ndarray) -> Tensor:
         return self.net(z, self.t_star)
@@ -144,46 +130,18 @@ class DenoiserGenerator:
         return self.net.predict(self.sample_latent(rng, n), self.t_star)
 
 
-class LinearTensorGenerator:
-    """Differentiable x = A z + b; the analytically checkable generator.
+def linear_generator(p: LinearGenerator) -> MlpGenerator:
+    """x = A z + b as a one-layer network with W = Aᵀ.
 
-    Parameters are stored as W = Aᵀ (latent, data) plus b, and flatten in the
-    order (A.ravel(), b) so finite differences over a flat θ line up with the
-    autodiff gradients.
+    ``LinearGenerator.flat_grad`` flattens its gradients in the (A, b) order
+    of ``p.flat()``.
     """
-
-    def __init__(self, A: np.ndarray, b: np.ndarray):
-        A = np.atleast_2d(np.asarray(A, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(b, dtype=np.float64))
-        self.latent_dim = A.shape[1]
-        self.data_dim = A.shape[0]
-        self.W = Tensor(A.T.copy(), requires_grad=True)
-        self.b = Tensor(b.copy(), requires_grad=True)
-
-    def named_parameters(self):
-        return [("W", self.W), ("b", self.b)]
-
-    def parameters(self):
-        return [self.W, self.b]
-
-    def sample_latent(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.latent_dim))
-
-    def forward(self, z: np.ndarray) -> Tensor:
-        return T.dense(Tensor(z), self.W, self.b)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.sample_latent(rng, n) @ self.W.data + self.b.data
-
-    def flat_theta(self) -> np.ndarray:
-        return np.concatenate([self.W.data.T.ravel(), self.b.data])
-
-    def flat_grads(self, grads: list[np.ndarray]) -> np.ndarray:
-        gw, gb = grads
-        return np.concatenate([gw.T.ravel(), gb])
+    net = MlpNet([p.latent_dim, p.dim])
+    net.load_state_dict({"layer0.weight": p.A.T, "layer0.bias": p.b})
+    return MlpGenerator(net)
 
 
-def build_generator(gspec: GeneratorSpec, data_dim: int, dspec: DiffusionSpec, seed: int):
+def build_generator(gspec: GeneratorSpec, data_dim: int, dspec: DiffusionSpec, seed: int) -> MlpGenerator:
     if gspec.tag == "mlp":
         widths = gspec.widths or (gspec.latent_dim, 64, 64, data_dim)
         if widths[0] != gspec.latent_dim or widths[-1] != data_dim:
@@ -191,7 +149,7 @@ def build_generator(gspec: GeneratorSpec, data_dim: int, dspec: DiffusionSpec, s
                 f"generator widths {widths} must run latent dim {gspec.latent_dim} "
                 f"to data dim {data_dim}"
             )
-        return MlpGenerator(widths, gspec.activation, seed)
+        return MlpGenerator(MlpNet(list(widths), activation=gspec.activation, seed=seed))
     widths = gspec.widths or (data_dim, 64, 64, data_dim)
     if widths[0] != data_dim or widths[-1] != data_dim:
         raise ValueError(f"denoiser-as-generator widths {widths} must run data dim to data dim")
@@ -199,7 +157,8 @@ def build_generator(gspec: GeneratorSpec, data_dim: int, dspec: DiffusionSpec, s
         raise ValueError(
             f"t_star {gspec.t_star} outside the schedule range [{dspec.sigma_min}, {dspec.sigma_max}]"
         )
-    return DenoiserGenerator(widths, gspec.t_star, gspec.activation, gspec.conditioning, seed)
+    net = MlpNet(list(widths), activation=gspec.activation, conditioning=gspec.conditioning, seed=seed)
+    return MlpGenerator(net, gspec.t_star)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +444,7 @@ class DistillConfig:
 
 @dataclass
 class DistillResult:
-    generator: object
+    generator: MlpGenerator
     online_net: MlpNet
     rows: list[MetricRow]
     final_samples: np.ndarray
@@ -510,8 +469,9 @@ def initial_generator(
     seed: int,
     gspec: GeneratorSpec | None = None,
     dspec: DiffusionSpec | None = None,
-):
-    """The generator exactly as ``run_distillation(seed=seed)`` initializes it.
+) -> MlpGenerator:
+    """The generator ``run_distillation(seed=seed)`` starts from, seeded by
+    the run's ``gen_init`` stream.
 
     Lets a caller snapshot or sample the pre-training generator without
     consuming any of the run's own rng streams.
@@ -553,14 +513,13 @@ def run_distillation(
             threshold or goes non-finite.
     """
     dspec = dspec or DiffusionSpec()
-    gspec = gspec or GeneratorSpec()
     if isinstance(reference, np.ndarray):
         data_dim = reference.shape[1]
     else:
         data_dim = reference.dim
     streams = named_streams(seed, _STREAM_NAMES)
 
-    gen = build_generator(gspec, data_dim, dspec, seed=int(streams["gen_init"].integers(2**31)))
+    gen = initial_generator(data_dim, seed, gspec, dspec)
     if gen_init_state is not None:
         gen.net.load_state_dict(gen_init_state)
     in_dim = data_dim

@@ -12,8 +12,8 @@ Layout::
 
 Parameters survive a save/load round trip bit for bit, so forward passes of
 a reloaded network are exactly reproducible. Loading is all-or-nothing: any
-structural problem (bad magic, unsupported version, truncation) raises
-before any state is handed out.
+structural problem (bad magic, unsupported version, truncation, a missing
+header or manifest key) raises before any state is handed out.
 """
 
 from __future__ import annotations
@@ -50,6 +50,9 @@ class Checkpoint:
 
     def build_net(self) -> MlpNet:
         """Reconstruct the network and load its parameters exactly."""
+        missing = [key for key in ("widths", "activation", "conditioning") if key not in self.arch]
+        if missing:
+            raise CheckpointError(f"checkpoint arch lacks {', '.join(missing)}")
         net = MlpNet(
             list(self.arch["widths"]),
             activation=self.arch["activation"],
@@ -149,14 +152,21 @@ def load_checkpoint(
         header = json.loads(raw[off : off + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise CheckpointError(f"{path}: corrupt checkpoint header: {err}") from err
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt checkpoint header: not a JSON object")
     if header.get("version") != version:
         raise CheckpointError(
             f"{path}: header version {header.get('version')} disagrees with "
             f"the container version {version}"
         )
+    missing = [key for key in ("kind", "arch", "arrays") if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     off += header_len
     arrays: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
+    for i, entry in enumerate(header["arrays"]):
+        if not isinstance(entry, dict) or "name" not in entry or "shape" not in entry:
+            raise CheckpointError(f"{path}: array manifest entry {i} lacks a name or shape")
         count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
         nbytes = count * 8
         if len(raw) < off + nbytes:

@@ -21,10 +21,10 @@ from .. import __version__
 from ..diffusion import DiffusionSpec
 from ..distances import DistanceFn
 from ..distill import (
-    DenoiserGenerator,
     DivergenceHalt,
     MlpGenerator,
     _STREAM_NAMES,
+    _reference_samples,
     dsm_loss,
     initial_generator,
     run_distillation,
@@ -105,15 +105,6 @@ def _out_dir(args, cfg: RunConfig | None = None, default: str = ".") -> Path:
     return out
 
 
-def _data_sampler(data: dict):
-    """Returns (dim, draw(rng, n)) for a gmm or csv data spec."""
-    if data["kind"] == "gmm":
-        spec = data["spec"]
-        return spec.dim, lambda rng, n: sample_clean(spec, rng, n)
-    points = _load_points(Path(data["path"]))
-    return points.shape[1], lambda rng, n: points[rng.integers(0, len(points), size=n)]
-
-
 def _reference_object(data: dict):
     """The evaluation reference: the analytic family itself, or raw points."""
     if data["kind"] == "gmm":
@@ -185,21 +176,15 @@ def _scatter(out: Path, name: str, title: str, samples: np.ndarray, refs: np.nda
     )
 
 
-def generator_from_checkpoint(ck: Checkpoint):
+def generator_from_checkpoint(ck: Checkpoint) -> MlpGenerator:
     """Rebuild a one-step generator saved by the distill command."""
-    arch, extra = ck.arch, ck.extra
-    tag = extra.get("tag", "mlp")
-    if tag == "mlp":
-        gen = MlpGenerator(tuple(arch["widths"]), arch["activation"], seed=arch.get("seed", 0))
-    elif tag == "denoiser-as-generator":
-        gen = DenoiserGenerator(
-            tuple(arch["widths"]), float(extra["t_star"]),
-            arch["activation"], arch["conditioning"], seed=arch.get("seed", 0),
-        )
-    else:
+    tag = ck.extra.get("tag", "mlp")
+    if tag not in ("mlp", "denoiser-as-generator"):
         raise CheckpointError(f"checkpoint carries unknown generator tag {tag!r}")
-    gen.net.load_state_dict(ck.arrays)
-    return gen
+    if tag == "denoiser-as-generator" and "t_star" not in ck.extra:
+        raise CheckpointError("denoiser-as-generator checkpoint lacks extra.t_star")
+    t_star = ck.extra["t_star"] if tag == "denoiser-as-generator" else None
+    return MlpGenerator(ck.build_net(), t_star)
 
 
 def teacher_validation_loss(net: MlpNet, proto: dict, base_dir: str | Path = ".") -> float:
@@ -212,9 +197,8 @@ def teacher_validation_loss(net: MlpNet, proto: dict, base_dir: str | Path = "."
     tdist = _parse_time_dist(proto["time_dist"], "validation.time_dist")
     weighting = _parse_weighting(proto["weighting"], "validation.weighting")
     data = _parse_data(proto["data"], "validation.data", Path(base_dir))
-    _, draw = _data_sampler(data)
     rng = make_rng(int(proto["seed"]))
-    x0 = draw(rng, int(proto["n"]))
+    x0 = _reference_samples(_reference_object(data), rng, int(proto["n"]))
     return dsm_loss(net, x0, dspec, tdist, weighting, rng, net_form=proto["net_form"]).item()
 
 
@@ -286,7 +270,8 @@ def _cmd_train_teacher(args) -> int:
     out = _out_dir(args, cfg)
     (out / "config_echo.json").write_text(cfg.canonical_json(), encoding="utf-8")
 
-    dim, draw = _data_sampler(cfg.data)
+    reference = _reference_object(cfg.data)
+    dim = cfg.data["dim"]
     streams = named_streams(cfg.seed, ["teacher_init", "teacher_train", "teacher_val"])
     net = MlpNet(
         [dim, *tt.hidden, dim],
@@ -300,7 +285,7 @@ def _cmd_train_teacher(args) -> int:
     fh, write_row = _metrics_stream(out / "metrics.csv")
     try:
         for step in range(1, tt.steps + 1):
-            x0 = draw(train_rng, tt.batch_size)
+            x0 = _reference_samples(reference, train_rng, tt.batch_size)
             loss = dsm_loss(
                 net, x0, cfg.diffusion, tt.time_dist, tt.weighting,
                 train_rng, net_form=tt.net_form,
@@ -323,7 +308,7 @@ def _cmd_train_teacher(args) -> int:
         "diffusion": _fields_dict(cfg.diffusion),
         "data": _data_dict(cfg.data),
     }
-    golden = teacher_validation_loss(net, proto)
+    golden = teacher_validation_loss(net, proto, base_dir=Path(args.config).parent)
     ck = Checkpoint(
         kind="teacher",
         arch=net_arch(net),

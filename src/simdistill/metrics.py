@@ -106,23 +106,6 @@ def mmd_rbf(X, Y, bandwidths=None, unbiased: bool = True) -> float:
     return float(total)
 
 
-def mmd_permutation_null(
-    X, Y, n_permutations: int, rng: np.random.Generator, bandwidths=None, unbiased: bool = True
-) -> np.ndarray:
-    """Null MMD² values from pooled relabelings (bandwidths held fixed)."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if bandwidths is None:
-        bandwidths = median_heuristic_bandwidths(X, Y)
-    pooled = np.vstack([X, Y])
-    m = len(X)
-    out = np.empty(n_permutations)
-    for i in range(n_permutations):
-        idx = rng.permutation(len(pooled))
-        out[i] = mmd_rbf(pooled[idx[:m]], pooled[idx[m:]], bandwidths=bandwidths, unbiased=unbiased)
-    return out
-
-
 def gaussian_w2_moments(mu_x, cov_x, mu_y, cov_y) -> float:
     """Closed-form W2 between N(mu_x, cov_x) and N(mu_y, cov_y)."""
     mu_x, mu_y = np.asarray(mu_x, dtype=np.float64), np.asarray(mu_y, dtype=np.float64)

@@ -268,11 +268,12 @@ class MlpNet:
         """Forward pass on the tape as one ``mlp`` node; ``t`` is a scalar or one value per row.
 
         The node keeps each hidden layer in full-size arrays. Its VJP is one
-        loop down the layers that runs the ops of ``tensor.dense`` and of the
-        activation's VJP in the order a chain of those nodes would, so the
-        gradients are that chain's to the bit: weight and bias gradients come
-        from full-batch products, and an operand that needs no gradient gets
-        ``None``. A call with nothing to differentiate keeps nothing.
+        loop down the layers that runs the ops of the per-layer chain
+        ``add(matmul(h, w), b)`` and the activation's VJP in that chain's
+        order, so the gradients are the chain's to the bit: weight and bias
+        gradients come from full-batch products, and an operand that needs no
+        gradient gets ``None``. A call with nothing to differentiate keeps
+        nothing.
         """
         xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
         inp = self._input(xt.data, t)

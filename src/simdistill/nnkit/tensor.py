@@ -9,9 +9,9 @@ gradients.
 
 An operation defined elsewhere records itself as one node through
 :func:`primitive`: a whole ``MlpNet`` call is one ``mlp`` node whose VJP
-uses the ops of :func:`dense` and the activations here, in the same order. A
-forward that is never differentiated does not belong on the tape at all:
-``MlpNet.predict`` runs it on plain arrays.
+uses the ops of :func:`matmul`, :func:`add` and the activations here, in the
+same order. A forward that is never differentiated does not belong on the
+tape at all: ``MlpNet.predict`` runs it on plain arrays.
 
 Conventions baked in here and relied on elsewhere:
   - all data is float64, row-major;
@@ -200,28 +200,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
     out = a.data @ b.data
     return _make(out, "matmul", (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node, the bias added in place.
-
-    The same ops as ``add(matmul(x, w), b)``, so the output and gradients
-    are bit-identical to that pair; the VJP returns ``None`` for an operand
-    that needs no gradient and skips its product.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ValueError(f"dense expects 2-D operands, got {x.shape} @ {w.shape}")
-    out = x.data @ w.data
-    out += b.data
-
-    def vjp(g):
-        return (
-            g @ w.data.T if x.requires_grad else None,
-            x.data.T @ g if w.requires_grad else None,
-            _unbroadcast(g, b.shape) if b.requires_grad else None,
-        )
-
-    return _make(out, "dense", (x, w, b), vjp)
 
 
 def square(a: Tensor) -> Tensor:

@@ -141,6 +141,12 @@ class LinearGenerator:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.A.ravel(), self.b])
 
+    @staticmethod
+    def flat_grad(grads) -> np.ndarray:
+        """The gradients (W = Aᵀ, b) of its one-layer net, in ``flat()``'s order."""
+        gw, gb = grads
+        return np.concatenate([gw.T.ravel(), gb])
+
     @property
     def mean(self) -> np.ndarray:
         return self.b
@@ -206,12 +212,16 @@ def gaussian_sample(spec: GaussianSpec, rng: np.random.Generator, n: int) -> np.
     return spec.mean + rng.standard_normal((n, spec.dim)) @ chol.T
 
 
-def gaussian_score_graph(spec: GaussianSpec | LinearGenerator, x: Tensor, t: float) -> Tensor:
-    """Graph-mode Gaussian score; scalar t only (one matrix inverse)."""
-    if np.ndim(t) != 0:
-        raise ValueError("graph-mode Gaussian score takes a scalar time")
+def gaussian_score_graph(spec: GaussianSpec | LinearGenerator, x: Tensor, t) -> Tensor:
+    """Graph-mode Gaussian score at one time level (one matrix inverse).
+
+    ``t`` is a scalar, or one value per row that is equal on every row.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t != t.flat[0]):
+        raise ValueError("graph-mode Gaussian score takes one time level per call")
     x = _as_graph_input(x)
-    inv = _inv_pd(_diffused_cov(spec.cov, float(t)), "diffused covariance")
+    inv = _inv_pd(_diffused_cov(spec.cov, float(t.flat[0])), "diffused covariance")
     return T.matmul(spec.mean - x, Tensor(inv))
 
 
@@ -320,6 +330,7 @@ def marginal_score(family, x, t: float) -> np.ndarray:
 
 
 def marginal_score_graph(family, x: Tensor, t) -> Tensor:
+    """Diffused-marginal score of any analytic family, as a graph node."""
     if isinstance(family, (GaussianSpec, LinearGenerator)):
         return gaussian_score_graph(family, x, t)
     if isinstance(family, GmmSpec):

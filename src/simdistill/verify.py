@@ -18,23 +18,22 @@ primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import special
 
 from .diffusion import DiffusionSpec, TimeDistribution, WeightingFn, cond_score
 from .distances import DistanceFn, derivative as dist_derivative, value as dist_value
-from .distill import LinearTensorGenerator, graph_field, sim_generator_loss
+from .distill import linear_generator, sim_generator_loss
 from .nnkit import MlpNet, Tensor, backward
 from .nnkit import tensor as T
 from .oracles import (
-    GaussianSpec,
-    GmmSpec,
     LinearGenerator,
     divergence_value,  # unused here; kept because perfbench's --trace 1 wraps verify.divergence_value
     divergence_values,
-    gaussian_score_graph,
     marginal_score,
+    marginal_score_graph,
     sample_clean,
 )
 from .rng import make_rng, named_streams
@@ -195,24 +194,6 @@ def check_score_projection(
 # gradient identity
 
 
-def _scalar_t(t) -> float:
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim == 0:
-        return float(arr)
-    if np.all(arr == arr.flat[0]):
-        return float(arr.flat[0])
-    raise ValueError("this analytic field supports one time level per call")
-
-
-def _frozen_score_field(family):
-    """Analytic marginal score as a frozen graph callable f(x_t, t)."""
-    if isinstance(family, (GaussianSpec, LinearGenerator)):
-        return lambda x, t: gaussian_score_graph(family, x, _scalar_t(t))
-    if isinstance(family, GmmSpec):
-        return graph_field(family, "score")
-    raise TypeError(f"no analytic score field for {type(family).__name__}")
-
-
 def check_theorem1(
     p: LinearGenerator,
     q,
@@ -265,20 +246,18 @@ def check_theorem1(
     fd_seeds = streams["fd"].integers(2**31, size=replicates)
     ad_seeds = streams["autodiff"].integers(2**31, size=replicates)
 
-    online = _frozen_score_field(p)
-    teacher = _frozen_score_field(q)
-
+    online, teacher = partial(marginal_score_graph, p), partial(marginal_score_graph, q)
+    gen = linear_generator(p)
     rhs = np.zeros((replicates, n_par))
     for r in range(replicates):
         rng = make_rng(int(ad_seeds[r]))
         acc = np.zeros(n_par)
         for t in grid:
-            gen = LinearTensorGenerator(p.A, p.b)
             loss = sim_generator_loss(
                 gen, online, teacher, d, dspec,
                 TimeDistribution.fixed_grid((float(t),)), w, n_mc, rng, loss_form="score",
             )
-            acc += gen.flat_grads(backward(loss, gen.parameters()))
+            acc += p.flat_grad(backward(loss, gen.parameters()))
         rhs[r] = acc / grid.size
 
     frozen_sampler = LinearGenerator(p.A, p.b)

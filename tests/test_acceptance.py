@@ -155,7 +155,7 @@ def test_delta_loss_is_l2_special_case(capfd):
     online = lambda x, t: frozen(x, t)
     worst = 0.0
     for rep in range(5):
-        gen = MlpGenerator((2, 32, 32, 2), "silu", seed=45)
+        gen = MlpGenerator(MlpNet([2, 32, 32, 2], seed=45))
         g_generic = backward(
             sim_generator_loss(
                 gen, online, teacher, DistanceFn.l2(), dspec, tdist,
@@ -291,7 +291,7 @@ def test_fixed_point_zero_gradient(capfd):
     ]
     worst = 0.0
     for d in tags:
-        gen = MlpGenerator((2, 32, 32, 2), "silu", seed=71)
+        gen = MlpGenerator(MlpNet([2, 32, 32, 2], seed=71))
         loss = sim_generator_loss(
             gen, field, field, d, dspec, tdist, WeightingFn.one(), 128, make_rng(72)
         )

@@ -14,18 +14,19 @@ from simdistill.distill import (
     DistillResult,
     DivergenceHalt,
     GeneratorSpec,
-    LinearTensorGenerator,
     PreconditionedDenoiser,
     build_generator,
     di_generator_loss,
     dsm_loss,
     graph_field,
+    linear_generator,
     run_distillation,
     sid_delta_generator_loss,
     sim_generator_loss,
 )
 from simdistill.nnkit import MlpNet, backward
-from simdistill.oracles import GaussianSpec, gaussian_sample, ring_gmm
+from simdistill.nnkit import tensor as T
+from simdistill.oracles import GaussianSpec, LinearGenerator, gaussian_sample, ring_gmm
 from simdistill.rng import make_rng
 
 SPEC = DiffusionSpec()
@@ -41,8 +42,11 @@ ALL_FNS = [
 ]
 
 
+TILTED = LinearGenerator(np.array([[1.0, 0.3], [0.0, 0.8]]), np.array([0.5, -0.2]))
+
+
 def tilted_linear_gen():
-    return LinearTensorGenerator(np.array([[1.0, 0.3], [0.0, 0.8]]), np.array([0.5, -0.2]))
+    return linear_generator(TILTED)
 
 
 class TestFixedPoint:
@@ -102,19 +106,19 @@ class TestGradientAgainstFiniteDifferences:
         tdist = TimeDistribution.fixed_grid((0.5, 1.0, 2.0))
 
         def loss_at(theta, seed=91):
-            gen = LinearTensorGenerator(theta[:4].reshape(2, 2), theta[4:])
+            gen = linear_generator(LinearGenerator.from_flat(theta, 2, 2))
             return sim_generator_loss(
                 gen, online, teacher, DistanceFn.l2(), SPEC, tdist, ONE, 256,
                 make_rng(seed), loss_form=form,
             )
 
         gen = tilted_linear_gen()
-        theta0 = gen.flat_theta()
+        theta0 = TILTED.flat()
         loss = sim_generator_loss(
             gen, online, teacher, DistanceFn.l2(), SPEC, tdist, ONE, 256, make_rng(91),
             loss_form=form,
         )
-        flat_grad = gen.flat_grads(backward(loss, gen.parameters()))
+        flat_grad = TILTED.flat_grad(backward(loss, gen.parameters()))
         h = 1e-5
         for i in range(theta0.size):
             e = np.zeros_like(theta0)
@@ -131,9 +135,9 @@ class TestFirstFactorFlag:
         gen = tilted_linear_gen()
         args = (gen, online, teacher, DistanceFn.pseudo_huber(0.5), SPEC, TDIST, ONE, 128)
         la = sim_generator_loss(*args, make_rng(17), first_factor_grad=True)
-        ga = gen.flat_grads(backward(la, gen.parameters()))
+        ga = TILTED.flat_grad(backward(la, gen.parameters()))
         lb = sim_generator_loss(*args, make_rng(17), first_factor_grad=False)
-        gb = gen.flat_grads(backward(lb, gen.parameters()))
+        gb = TILTED.flat_grad(backward(lb, gen.parameters()))
         assert la.item() == lb.item()  # same draws, same forward value
         assert np.abs(ga - gb).max() > 1e-6  # but a different gradient field
 
@@ -160,7 +164,7 @@ class TestDiBaseline:
         # (gradient descent then moves b down toward the teacher).
         teacher = graph_field(GaussianSpec(np.zeros(1), np.eye(1)), "score")
         online = graph_field(GaussianSpec(np.array([2.0]), np.eye(1)), "score")
-        gen = LinearTensorGenerator(np.eye(1), np.array([2.0]))
+        gen = linear_generator(LinearGenerator(np.eye(1), np.array([2.0])))
         loss = di_generator_loss(gen, online, teacher, SPEC, TDIST, ONE, 512, make_rng(23))
         _, gb = backward(loss, gen.parameters())
         assert gb[0] > 0
@@ -289,13 +293,16 @@ class TestGeneratorConstruction:
         with pytest.raises(ValueError, match="tag"):
             GeneratorSpec(tag="flow")
 
-    def test_linear_tensor_generator_matches_numpy(self):
+    def test_linear_generator_matches_numpy(self):
         rng = make_rng(4)
-        A, b = rng.standard_normal((3, 2)), rng.standard_normal(3)
-        gen = LinearTensorGenerator(A, b)
+        p = LinearGenerator(rng.standard_normal((3, 2)), rng.standard_normal(3))
+        gen = linear_generator(p)
         z = rng.standard_normal((8, 2))
-        np.testing.assert_allclose(gen.forward(z).data, z @ A.T + b, rtol=1e-14)
-        np.testing.assert_array_equal(gen.flat_theta(), np.concatenate([A.ravel(), b]))
+        np.testing.assert_allclose(gen.forward(z).data, z @ p.A.T + p.b, rtol=1e-14)
+        assert np.array_equal(gen.sample(make_rng(5), 8), gen.forward(gen.sample_latent(make_rng(5), 8)).data)
+        flat = LinearGenerator.flat_grad(backward(T.tsum(gen.forward(z)), gen.parameters()))
+        # ∂/∂A_ij of the summed output is Σ_n z_nj, and ∂/∂b_i is n, in flat() order
+        np.testing.assert_allclose(flat, np.concatenate([np.tile(z.sum(axis=0), 3), np.full(3, 8.0)]), rtol=1e-14)
 
 
 class TestRunDistillation:
@@ -427,20 +434,25 @@ def test_tape_free_sampling_leaves_the_loop_bit_identical(monkeypatch):
 
 # blake2b-128 digests of a 30-step desk-2d ring-8 run (evaluations every 10
 # steps at 512 samples, the final one at 2048): of its rows' CSV lines, and of
-# the final generator then online parameters in sorted-name order. Recorded
-# from the per-layer tape forward (one dense node per layer, then SiLU) that
-# the single mlp node replaced; the training path must keep every byte.
+# the final generator then online parameters in sorted-name order, keyed by
+# (generator tag, teacher kind). The `mlp` generator's were recorded from the
+# per-layer tape forward (one dense node per layer, then SiLU) that the single
+# mlp node replaced, the `denoiser-as-generator` ones from the generator class
+# of its own that MlpGenerator(net, t_star) replaced; the training path must
+# keep every byte.
 GOLDEN_DIGESTS = {
-    "gmm": ("85d58e02290b0ee8c541108bcd42b7fc", "7eabb64e95fef52569e820577eb9c356"),
-    "mlp": ("c501b835de29bd6e72a5591c6da63ca2", "7a21ca40cfed5eeee4e4df2b5ecccb85"),
+    ("mlp", "gmm"): ("85d58e02290b0ee8c541108bcd42b7fc", "7eabb64e95fef52569e820577eb9c356"),
+    ("mlp", "mlp"): ("c501b835de29bd6e72a5591c6da63ca2", "7a21ca40cfed5eeee4e4df2b5ecccb85"),
+    ("denoiser-as-generator", "gmm"): ("d1b0df306a93293a39423aab0f45ce55", "3686c362f1ee5f7f7812cbc70cef3c85"),
+    ("denoiser-as-generator", "mlp"): ("457a23f27f5bcd2c306ebcc0ff07d6bc", "5f54ceb5f793e00e497a8a252148c606"),
 }
 
 
-@pytest.mark.parametrize("teacher_kind", sorted(GOLDEN_DIGESTS))
-def test_training_path_reproduces_its_golden_digests(teacher_kind):
+@pytest.mark.parametrize("gen_tag, teacher_kind", sorted(GOLDEN_DIGESTS))
+def test_training_path_reproduces_its_golden_digests(gen_tag, teacher_kind):
     from simdistill.harness.config import parse_config
 
-    cfg = parse_config({"tag": "ring8", "seed": 0, "preset": "desk-2d", "distill": {
+    cfg = parse_config({"tag": "ring8", "seed": 0, "preset": "desk-2d", "generator": {"tag": gen_tag}, "distill": {
         "gen_steps": 30, "eval_interval": 10, "eval_samples": 512, "final_eval_samples": 2048,
     }})
     ring = ring_gmm(8, 4.0, 0.3)
@@ -458,7 +470,7 @@ def test_training_path_reproduces_its_golden_digests(teacher_kind):
         digest(r.to_csv().encode() for r in res.rows),
         digest(state[k].tobytes() for state in states for k in sorted(state)),
     )
-    assert got == GOLDEN_DIGESTS[teacher_kind]
+    assert got == GOLDEN_DIGESTS[gen_tag, teacher_kind]
 
 
 class TestConfigValidation:

@@ -7,6 +7,7 @@ byte comparison of emitted files.
 
 import dataclasses
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,8 +15,9 @@ import numpy as np
 import pytest
 
 from simdistill.diffusion import DiffusionSpec
-from simdistill.distill import DistillConfig, GeneratorSpec
+from simdistill.distill import DistillConfig, GeneratorSpec, run_distillation
 from simdistill.harness.checkpoint import (
+    MAGIC,
     Checkpoint,
     CheckpointError,
     load_checkpoint,
@@ -24,7 +26,7 @@ from simdistill.harness.checkpoint import (
     rng_state_of,
     save_checkpoint,
 )
-from simdistill.harness.cli import main
+from simdistill.harness.cli import GOLDEN_LOSS_TOL, generator_from_checkpoint, main
 from simdistill.harness.config import (
     PRESETS,
     ConfigError,
@@ -37,6 +39,8 @@ from simdistill.harness.svg import line_chart, scatter_plot
 from simdistill.metrics import MetricRow
 from simdistill.nnkit import MlpNet
 from simdistill.oracles import GmmSpec
+
+DATA = Path(__file__).parent / "data"
 
 TWO_MODE = {
     "kind": "gmm",
@@ -339,6 +343,16 @@ def _net_checkpoint(seed=5, **over) -> Checkpoint:
     return Checkpoint(**fields)
 
 
+def _edit_header(path: Path, edit) -> None:
+    """Rewrite a checkpoint file's JSON header in place through ``edit(header)``."""
+    raw = path.read_bytes()
+    size = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16 : 16 + size])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob + raw[16 + size :])
+
+
 class TestCheckpoint:
     def test_forward_bit_identical_on_100_random_inputs(self, tmp_path):
         ck = _net_checkpoint()
@@ -401,6 +415,34 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + bytes(64))
         with pytest.raises(CheckpointError, match="magic"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["kind", "arch", "arrays"])
+    def test_header_without_a_required_key_rejected(self, tmp_path, key):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, _net_checkpoint())
+        _edit_header(path, lambda header: header.pop(key))
+        with pytest.raises(CheckpointError, match=f"lacks {key}"):
+            load_checkpoint(path)
+
+    def test_header_that_is_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        path.write_bytes(MAGIC + bytes([1]) + (2).to_bytes(8, "little") + b"[]")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["name", "shape"])
+    def test_manifest_entry_without_name_or_shape_rejected(self, tmp_path, key):
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(path, _net_checkpoint())
+        _edit_header(path, lambda header: header["arrays"][1].pop(key))
+        with pytest.raises(CheckpointError, match="manifest entry 1 lacks a name or shape"):
+            load_checkpoint(path)
+
+    def test_arch_without_a_constructor_key_rejected(self):
+        arch = net_arch(MlpNet([3, 16, 2]))
+        del arch["conditioning"]
+        with pytest.raises(CheckpointError, match="arch lacks conditioning"):
+            _net_checkpoint(arch=arch).build_net()
 
     def test_config_hash_guard(self, tmp_path):
         path = tmp_path / "t.ckpt"
@@ -645,6 +687,63 @@ class TestCli:
         assert report["kind"] == "generator"
         assert 0.0 <= report["metrics"]["mode_coverage"] <= 1.0
         assert (ev / "scatter.svg").is_file()
+
+    @pytest.mark.parametrize("tag", ["mlp", "denoiser-as-generator"])
+    def test_generator_checkpoint_samples_like_the_generator_in_memory(self, tmp_path, distill_cfg, tag):
+        obj = json.loads(distill_cfg.read_text())
+        obj["generator"] = {"tag": tag}
+        _write_json(distill_cfg, obj)
+        out = tmp_path / "run"
+        assert main(["distill", "--config", str(distill_cfg), "--out", str(out)]) == 0
+        cfg = load_config(distill_cfg)
+        spec = cfg.data["spec"]
+        res = run_distillation(cfg.distill, spec, spec, cfg.seed, gspec=cfg.generator, dspec=cfg.diffusion)
+        gen = generator_from_checkpoint(load_checkpoint(out / "generator.ckpt"))
+        assert gen.t_star == res.generator.t_star == (2.5 if tag != "mlp" else None)
+        for n in (300, 3000):  # one block, and blocks on the pool
+            a, b = gen.sample(np.random.default_rng(n), n), res.generator.sample(np.random.default_rng(n), n)
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", ["arrays", "t_star", "arch.widths", "tag"])
+    def test_eval_of_a_malformed_generator_checkpoint_exits_1(self, tmp_path, distill_cfg, capsys, case):
+        obj = json.loads(distill_cfg.read_text())
+        obj["generator"] = {"tag": "denoiser-as-generator"}
+        _write_json(distill_cfg, obj)
+        out = tmp_path / "run"
+        assert main(["distill", "--config", str(distill_cfg), "--out", str(out)]) == 0
+        edit, message = {
+            "arrays": (lambda header: header.pop("arrays"), "header lacks arrays"),
+            "t_star": (lambda header: header["extra"].pop("t_star"), "lacks extra.t_star"),
+            "arch.widths": (lambda header: header["arch"].pop("widths"), "arch lacks widths"),
+            "tag": (lambda header: header["extra"].update(tag="flow"), "unknown generator tag 'flow'"),
+        }[case]
+        _edit_header(out / "generator.ckpt", edit)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(out / "generator.ckpt"), "--out", str(tmp_path / "ev")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["ring8_teacher.ckpt", "ring8_csv_teacher.ckpt"])
+    def test_shipped_teacher_checkpoints_replay_their_golden_loss(self, tmp_path, name):
+        # written by tests/data/make_ring8_teacher.py before the csv and gmm
+        # draws of train-teacher went through distill._reference_samples
+        ev = tmp_path / "ev"
+        assert main(["eval", "--checkpoint", str(DATA / name), "--out", str(ev)]) == 0
+        report = json.loads((ev / "eval_report.json").read_text())
+        assert report["validation"]["ok"] is True
+        assert report["validation"]["tolerance"] == GOLDEN_LOSS_TOL
+
+    def test_train_teacher_reads_csv_data_beside_its_config(self, tmp_path):
+        # run from another working directory: the data path and the
+        # validation replay both resolve from the config's directory
+        shutil.copyfile(DATA / "ring8_points.csv", tmp_path / "pts.csv")
+        cfg_path = tmp_path / "teacher.json"
+        _write_json(cfg_path, {
+            "seed": 5, "data": {"kind": "csv", "path": "pts.csv"},
+            "teacher_train": {"steps": 20, "log_interval": 20, "batch_size": 64, "val_samples": 128},
+        })
+        assert main(["train-teacher", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert main(["eval", "--checkpoint", str(tmp_path / "teacher.ckpt"), "--out", str(tmp_path / "ev")]) == 0
 
     def test_plot_regenerates_identical_charts(self, tmp_path, distill_cfg):
         out = tmp_path / "run"

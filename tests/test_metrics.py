@@ -11,7 +11,6 @@ from simdistill.metrics import (
     gaussian_w2_moments,
     _median_in_place,
     median_heuristic_bandwidths,
-    mmd_permutation_null,
     mmd_rbf,
     mode_coverage,
 )
@@ -108,36 +107,6 @@ class TestMmd:
             mmd_rbf(np.zeros((4, 2)), np.zeros((4, 3)))
         with pytest.raises(ValueError):
             mmd_rbf(np.zeros((1, 2)), np.zeros((4, 2)))  # unbiased needs ≥ 2 per side
-
-
-class TestPermutationNull:
-    def test_observed_self_stat_sits_inside_null(self):
-        rng = make_rng(6)
-        X = rng.standard_normal((128, 2))
-        Y = rng.standard_normal((128, 2))
-        bw = median_heuristic_bandwidths(X, Y)
-        observed = mmd_rbf(X, Y, bandwidths=bw)
-        null = mmd_permutation_null(X, Y, 200, make_rng(7), bandwidths=bw)
-        assert null.shape == (200,)
-        lo, hi = np.percentile(null, [0.5, 99.5])
-        assert lo <= observed <= hi
-
-    def test_shifted_alternative_exceeds_null(self):
-        rng = make_rng(8)
-        X = rng.standard_normal((128, 2))
-        Y = rng.standard_normal((128, 2)) + 2.0
-        bw = median_heuristic_bandwidths(X, Y)
-        observed = mmd_rbf(X, Y, bandwidths=bw)
-        null = mmd_permutation_null(X, Y, 100, make_rng(9), bandwidths=bw)
-        assert observed > null.max()
-
-    def test_deterministic_given_rng(self):
-        rng = make_rng(10)
-        X = rng.standard_normal((32, 2))
-        Y = rng.standard_normal((32, 2))
-        a = mmd_permutation_null(X, Y, 20, make_rng(11))
-        b = mmd_permutation_null(X, Y, 20, make_rng(11))
-        assert np.array_equal(a, b)
 
 
 class TestGaussianW2:

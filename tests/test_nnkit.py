@@ -203,7 +203,7 @@ def _vjp_cases():
     def leaf(*shape):
         return Tensor(rng.uniform(0.5, 2.0, size=shape), requires_grad=True)
 
-    a, b, row, m, w = leaf(3, 4), leaf(3, 4), leaf(1, 4), leaf(4, 2), leaf(1, 2)
+    a, b, row, m = leaf(3, 4), leaf(3, 4), leaf(1, 4), leaf(4, 2)
     return [
         T.add(a, row),
         T.sub(a, row),
@@ -211,7 +211,6 @@ def _vjp_cases():
         T.mul(a, b),
         T.div(a, row),
         T.matmul(a, m),
-        T.dense(a, m, w),
         T.square(a),
         T.sqrt(a),
         T.exp(a),
@@ -384,7 +383,7 @@ def _chain_forward(net, x, t):
         h = T.concat([h, Tensor(np.log(col) if net.conditioning == "concat-log-t" else col)], axis=1)
     act = getattr(T, net.activation)
     for i, (w, b) in enumerate(net.layers):
-        h = T.dense(h, w, b)
+        h = T.add(T.matmul(h, w), b)
         if i != len(net.layers) - 1:
             h = act(h)
     return h
@@ -440,53 +439,6 @@ def test_mlp_node_gradient_matches_fd(activation, conditioning):
     reports = {r.name: r for r in gradcheck_suite(seed=3, probes=10, cases=cases)}
     for name in cases:
         assert reports[f"gradcheck-{name}"].verdict == "pass", reports[f"gradcheck-{name}"].detail
-
-
-def test_dense_matches_matmul_plus_bias_to_the_bit():
-    rng = np.random.default_rng(11)
-    arrays = [rng.normal(size=(300, 3)), rng.normal(size=(3, 64)), rng.normal(size=64)]
-    outs, grads = [], []
-    for fused in (True, False):
-        x, w, b = (Tensor(a, requires_grad=True) for a in arrays)
-        out = T.dense(x, w, b) if fused else T.add(T.matmul(x, w), b)
-        outs.append(out.data)
-        grads.append(backward(T.tsum(T.silu(out)), [x, w, b]))
-    assert np.array_equal(outs[0], outs[1])
-    for g_fused, g_pair in zip(*grads):
-        assert np.array_equal(g_fused, g_pair)
-
-
-def test_dense_gradient_matches_fd():
-    from simdistill.verify import gradcheck_suite
-
-    cases = {
-        "dense": (
-            T.dense,
-            [lambda r: r.standard_normal((3, 4)), lambda r: r.standard_normal((4, 2)),
-             lambda r: r.standard_normal(2)],
-        )
-    }
-    (report,) = [r for r in gradcheck_suite(seed=3, probes=20, cases=cases) if r.name == "gradcheck-dense"]
-    assert report.verdict == "pass", report.detail
-
-
-@pytest.mark.parametrize("frozen", ["x", "w", "b", "xw"])
-def test_dense_vjp_returns_none_for_operands_without_grad(frozen):
-    rng = np.random.default_rng(5)
-    x, w, b = (
-        Tensor(a, requires_grad=name not in frozen)
-        for name, a in zip("xwb", [rng.normal(size=(4, 3)), rng.normal(size=(3, 2)), rng.normal(size=2)])
-    )
-    out = T.dense(x, w, b)
-    pieces = out.vjp(np.ones_like(out.data))
-    for name, operand, piece in zip("xwb", (x, w, b), pieces):
-        if name in frozen:
-            assert piece is None
-        else:
-            assert piece.shape == operand.shape
-    # backward skips the missing pieces and still fills the live ones
-    grads = backward(T.tsum(out), [x, w, b])
-    assert np.array_equal(grads[2], np.zeros(2) if "b" in frozen else np.full(2, 4.0))
 
 
 def test_mlp_end_to_end_gradient_matches_fd():

@@ -262,6 +262,17 @@ class TestLinearGenerator:
                 marginal_score_graph(g, Tensor(x), t).data, gaussian_score_graph(gauss, Tensor(x), t).data
             )
 
+    def test_graph_score_takes_one_time_level_given_per_row(self):
+        # the per-row times a loss draws from a one-point grid reduce to the scalar
+        rng = make_rng(27)
+        g = LinearGenerator(rng.standard_normal((2, 2)), rng.standard_normal(2))
+        x = Tensor(rng.standard_normal((5, 2)))
+        np.testing.assert_array_equal(
+            marginal_score_graph(g, x, np.full(5, 0.7)).data, marginal_score_graph(g, x, 0.7).data
+        )
+        with pytest.raises(ValueError, match="one time level"):
+            marginal_score_graph(g, x, np.linspace(0.5, 1.0, 5))
+
     def test_score_is_gradient_of_log_density(self):
         rng = make_rng(26)
         g = LinearGenerator(rng.standard_normal((3, 2)), rng.standard_normal(3))
