@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
@@ -192,6 +193,7 @@ def teacher_validation_loss(net: MlpNet, proto: dict, base_dir: str | Path = "."
 
     The protocol pins the data spec, diffusion, time/weight laws, seed and
     batch size, so the returned loss is a pure function of the net weights.
+    A csv data path is resolved from ``base_dir``, the checkpoint's directory.
     """
     dspec = _parse_fields(DiffusionSpec, proto["diffusion"], "validation.diffusion")
     tdist = _parse_time_dist(proto["time_dist"], "validation.time_dist")
@@ -299,6 +301,10 @@ def _cmd_train_teacher(args) -> int:
     finally:
         fh.close()
 
+    data = _data_dict(cfg.data)
+    if data["kind"] == "csv":
+        # the replay resolves the path from the checkpoint's directory
+        data["path"] = os.path.relpath(Path(cfg.data["path"]).resolve(), out.resolve())
     proto = {
         "seed": int(streams["teacher_val"].integers(2**31)),
         "n": tt.val_samples,
@@ -306,9 +312,9 @@ def _cmd_train_teacher(args) -> int:
         "time_dist": _time_dist_dict(tt.time_dist),
         "weighting": _weighting_dict(tt.weighting),
         "diffusion": _fields_dict(cfg.diffusion),
-        "data": _data_dict(cfg.data),
+        "data": data,
     }
-    golden = teacher_validation_loss(net, proto, base_dir=Path(args.config).parent)
+    golden = teacher_validation_loss(net, proto, base_dir=out)
     ck = Checkpoint(
         kind="teacher",
         arch=net_arch(net),
@@ -454,7 +460,7 @@ def _cmd_eval(args) -> int:
         recorded = float(ck.extra["validation"]["loss"])
         recomputed = teacher_validation_loss(
             ck.build_net(), ck.extra["validation"]["protocol"],
-            base_dir=Path(args.checkpoint).parent,
+            base_dir=Path(args.checkpoint).resolve().parent,
         )
         diff = abs(recomputed - recorded)
         report["validation"] = {

@@ -34,26 +34,28 @@ _INPLACE_ACTIVATIONS = {
 # 14%. The blocks are fixed, so the output does not depend on how they are
 # shared out.
 _BLOCK_ROWS = 1024
-# A call of at least this many blocks (2048 rows) runs them on a
-# kernels.map_blocks pool. At 512 rows a pool was slower than one thread
-# (0.58 against 0.46 ms), so training batches stay on the calling thread.
-_POOL_MIN_BLOCKS = 2
-# A multi-threaded OpenBLAS splits a product over its own threads once
-# M·N·K passes 4·65536, and those threads then fight the pool's workers: with
-# two BLAS threads, 10⁴ rows took 20.6 ms on the pool against 8.3 ms for one
-# unblocked forward. On the pool, products are cut into row chunks below
-# that size; 64-row chunks of a 64-wide layer matched the whole product bit
-# for bit.
-_SERIAL_BLAS_MNK = 4 * 65536
+# A call of several blocks runs them on a kernels.map_blocks pool when it
+# makes at least this many multiply-adds (rows × Σ fan_in·fan_out). The pool
+# costs ~0.15 ms to start, and a narrow net does too little work to repay it:
+# on a 2-vCPU Xeon with one BLAS thread, the one-layer 2→2 net's 4096-row
+# forward took 0.21 ms pooled and 0.06 ms on the calling thread. A 2-64-64-2
+# net makes 8.9·10⁶ at 2048 rows, so it is pooled from there on. Training
+# batches of ≤ 512 rows are one block and stay on the calling thread.
+_POOL_MIN_MULADDS = 2**23
+# On the pool, each product is cut into row chunks of at most
+# kernels.SERIAL_BLAS_MNK multiply-adds, so that a multi-threaded OpenBLAS
+# does not start threads of its own: with two BLAS threads, 10⁴ rows took
+# 20.6 ms on the pool against 8.3 ms for one unblocked forward. 64-row chunks
+# of a 64-wide layer matched the whole product bit for bit.
 
 
 def _matmul_rows(h: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
-    """``h @ w`` into ``out``, in even row chunks of at most _SERIAL_BLAS_MNK.
+    """``h @ w`` into ``out``, in even row chunks of at most kernels.SERIAL_BLAS_MNK.
 
     The chunks are even, so none is a single row unless ``h`` is (numpy sends
     a one-row product to gemv, whose last bits differ from gemm's).
     """
-    parts = -(-len(h) * w.size // _SERIAL_BLAS_MNK)
+    parts = -(-len(h) * w.size // kernels.SERIAL_BLAS_MNK)
     for c in range(parts):
         lo, hi = len(h) * c // parts, len(h) * (c + 1) // parts
         np.matmul(h[lo:hi], w, out=out[lo:hi])
@@ -254,9 +256,10 @@ class MlpNet:
             out[lo:hi] += b_out[: hi - lo]
 
         blocks = range(0, n, _BLOCK_ROWS)
-        pooled = len(blocks) >= _POOL_MIN_BLOCKS
-        matmul = _matmul_rows if pooled else np.matmul
-        if pooled:
+        # the chunks depend on the block count alone, so pooling or not
+        # leaves the output's bits alone
+        matmul = _matmul_rows if len(blocks) > 1 else np.matmul
+        if len(blocks) > 1 and n * sum(w.size for w, _ in tiled) >= _POOL_MIN_MULADDS:
             kernels.map_blocks(block, blocks, make_scratch)
         else:
             scratch = make_scratch()

@@ -439,12 +439,14 @@ def test_tape_free_sampling_leaves_the_loop_bit_identical(monkeypatch):
 # per-layer tape forward (one dense node per layer, then SiLU) that the single
 # mlp node replaced, the `denoiser-as-generator` ones from the generator class
 # of its own that MlpGenerator(net, t_star) replaced; the training path must
-# keep every byte.
+# keep every byte. The rows' digests were recorded again when the MMD kernel
+# began to square its way down the bandwidth ladder: only the mmd fields moved,
+# each by ≤ 4e-15 (≤ 1.7e-15 relative), and the parameter digests held.
 GOLDEN_DIGESTS = {
-    ("mlp", "gmm"): ("85d58e02290b0ee8c541108bcd42b7fc", "7eabb64e95fef52569e820577eb9c356"),
-    ("mlp", "mlp"): ("c501b835de29bd6e72a5591c6da63ca2", "7a21ca40cfed5eeee4e4df2b5ecccb85"),
-    ("denoiser-as-generator", "gmm"): ("d1b0df306a93293a39423aab0f45ce55", "3686c362f1ee5f7f7812cbc70cef3c85"),
-    ("denoiser-as-generator", "mlp"): ("457a23f27f5bcd2c306ebcc0ff07d6bc", "5f54ceb5f793e00e497a8a252148c606"),
+    ("mlp", "gmm"): ("7f41540212357e8c5e2f3a3ce51971bb", "7eabb64e95fef52569e820577eb9c356"),
+    ("mlp", "mlp"): ("f1b05c00814f07b086cb84f5c75c14e1", "7a21ca40cfed5eeee4e4df2b5ecccb85"),
+    ("denoiser-as-generator", "gmm"): ("e660a4938a3fc52d8f7926cab9baa48d", "3686c362f1ee5f7f7812cbc70cef3c85"),
+    ("denoiser-as-generator", "mlp"): ("aa2a2c504f113c61bb0629d4749f1282", "5f54ceb5f793e00e497a8a252148c606"),
 }
 
 

@@ -745,6 +745,24 @@ class TestCli:
         assert main(["train-teacher", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         assert main(["eval", "--checkpoint", str(tmp_path / "teacher.ckpt"), "--out", str(tmp_path / "ev")]) == 0
 
+    def test_eval_replays_a_csv_teacher_written_to_another_directory(self, tmp_path, monkeypatch):
+        # the checkpoint records the csv path from its own directory, so eval
+        # finds the csv whatever --out train-teacher had, from any directory
+        (tmp_path / "cfg").mkdir()
+        shutil.copyfile(DATA / "ring8_points.csv", tmp_path / "cfg" / "pts.csv")
+        _write_json(tmp_path / "cfg" / "teacher.json", {
+            "seed": 5, "data": {"kind": "csv", "path": "pts.csv"},
+            "teacher_train": {"steps": 20, "log_interval": 20, "batch_size": 64, "val_samples": 128},
+        })
+        monkeypatch.chdir(tmp_path)
+        assert main(["train-teacher", "--config", "cfg/teacher.json", "--out", "elsewhere/run"]) == 0
+        ck = load_checkpoint(tmp_path / "elsewhere" / "run" / "teacher.ckpt")
+        assert ck.extra["validation"]["protocol"]["data"]["path"] == "../../cfg/pts.csv"
+        monkeypatch.chdir(tmp_path / "cfg")
+        assert main(["eval", "--checkpoint", "../elsewhere/run/teacher.ckpt", "--out", str(tmp_path / "ev")]) == 0
+        report = json.loads((tmp_path / "ev" / "eval_report.json").read_text())
+        assert report["validation"]["abs_diff"] == 0.0
+
     def test_plot_regenerates_identical_charts(self, tmp_path, distill_cfg):
         out = tmp_path / "run"
         assert main(["distill", "--config", str(distill_cfg), "--out", str(out)]) == 0

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from simdistill import kernels
+from simdistill.metrics import BANDWIDTH_FACTORS, BANDWIDTH_FLOOR, median_heuristic_bandwidths
 from simdistill.rng import make_rng
 
 
@@ -29,35 +30,56 @@ def brute_force_sums(X, Y, bandwidths):
     return np.array(rows)
 
 
-def sequential_mmd_sums(X, Y, bandwidths):
+def sequential_mmd_sums(X, Y, bandwidths, squarings=True):
     """mmd_sums as one sequential loop over the row blocks, the reference for
-    the thread pool: same centring, same blocks, same ops, same sum order."""
+    the thread pool: same centring, same blocks, same ops, same sum order.
+
+    A block's squared distances are one product of augmented rows. Its rungs
+    run from the widest to the narrowest; with ``squarings``, a rung whose
+    scale is 2^p times the last one's is that kernel block squared p times,
+    unless that makes more than 8 squarings since the last exp. Without, every
+    rung is its own exp: the plain formula."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     centre = np.vstack([X, Y]).mean(axis=0)
     X = X - centre
     Y = Y - centre
     scales = -0.5 / np.asarray(bandwidths, dtype=np.float64) ** 2
+    order = sorted(range(len(scales)), key=lambda b: -scales[b])
+
+    def left(A):
+        a2 = (A * A).sum(axis=1, keepdims=True)
+        return np.hstack([A, a2, np.ones_like(a2)])
+
+    def right(B):
+        b2 = (B * B).sum(axis=1, keepdims=True)
+        return np.hstack([-2.0 * B, np.ones_like(b2), b2])
 
     def pair_sums(A, B, same):
-        a2 = np.einsum("ij,ij->i", A, A)
-        b2 = a2 if same else np.einsum("ij,ij->i", B, B)
+        L, R = left(A), right(B)
         sums = np.zeros(len(scales))
         for i0 in range(0, len(A), 64):
             i1 = min(i0 + 64, len(A))
             j0 = i0 if same else 0
-            sq = A[i0:i1] @ B[j0:].T
-            sq *= -2.0
-            sq += a2[i0:i1, None]
-            sq += b2[None, j0:]
-            np.maximum(sq, 0.0, out=sq)
+            sq = np.maximum(L[i0:i1] @ R[j0:].T, 0.0)
             if same:
                 rows = np.arange(i1 - i0)
                 sq[rows, rows] = np.inf
-            k = np.empty_like(sq)
-            for b, scale in enumerate(scales):
-                np.multiply(sq, scale, out=k)
-                np.exp(k, out=k)
+            k, last, since = None, None, 0
+            for b in order:
+                p = 0
+                if squarings and last is not None:
+                    for q in range(1, 9 - since):
+                        if scales[b] == last * 2.0**q:
+                            p = q
+                if p:
+                    for _ in range(p):
+                        k = k * k
+                    since += p
+                else:
+                    k = np.exp(sq * scales[b])
+                    since = 0
+                last = scales[b]
                 if same:
                     sums[b] += k[:, : i1 - i0].sum() + 2.0 * k[:, i1 - i0 :].sum()
                 else:
@@ -98,11 +120,13 @@ class TestMmdSums:
         assert syy == 0.0
         assert sxy == pytest.approx(np.exp(-2.0) + np.exp(-0.5), rel=1e-15)
 
-    def test_block_boundary_consistency(self):
+    @pytest.mark.parametrize("ladder", ["two rungs", "default"])
+    def test_block_boundary_consistency(self, ladder):
         # sizes straddling the row blocks must not change results; nor may a
         # cloud far from the origin (‖a‖² + ‖b‖² − 2ab on raw coordinates
         # loses ~2e-11 relative at 10³) or exact repeats within X and across
-        # X and Y, which sit at distance 0
+        # X and Y, which sit at distance 0. The default ladder's narrow rungs
+        # are squared kernel blocks.
         rng = make_rng(3)
         X = rng.standard_normal((2049, 2))
         Y = rng.standard_normal((2048, 2))
@@ -111,18 +135,60 @@ class TestMmdSums:
             (X + 1e3, Y + 1e3),
             (np.vstack([X[:1500], X[:300]]), np.vstack([Y[:1500], X[1000:1300]])),
         ]
-        bw = np.array([0.25, 1.0])
         for A, B in cases:
+            bw = np.array([0.25, 1.0]) if ladder == "two rungs" else median_heuristic_bandwidths(A, B)
             np.testing.assert_allclose(kernels.mmd_sums(A, B, bw), brute_force_sums(A, B, bw), rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("bw", [[0.25, 1.0, 4.0], [2.0, 0.25, 1.0, 0.5, 4.0]], ids=["ratio-4", "ratio-2"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_any_worker_count_matches_sequential_loop_to_the_bit(self, workers, monkeypatch):
+    def test_any_worker_count_matches_sequential_loop_to_the_bit(self, workers, bw, monkeypatch):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: workers)
-        bw = np.array([0.25, 1.0, 4.0])
         baseline = threading.active_count()
         for name, A, B in _parity_cases():
             assert np.array_equal(kernels.mmd_sums(A, B, bw), sequential_mmd_sums(A, B, bw)), name
             assert threading.active_count() == baseline, f"{name}: pool threads outlived the call"
+
+    def test_default_ladder_takes_one_exp_and_eight_squarings(self):
+        h = np.array(BANDWIDTH_FACTORS) * 1.7
+        plan = kernels._ladder_plan(-0.5 / h**2)
+        assert [b for b, _, _ in plan] == [4, 3, 2, 1, 0]  # widest first
+        assert [p for _, _, p in plan] == [0, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "bw, squarings",
+        [
+            ([0.7, 1.3], [0, 0]),  # no power-of-two ratio
+            ([1.0, 1.0], [0, 0]),  # equal rungs
+            ([1.0, 32.0], [0, 0]),  # 2^10 passes the cap of 2^8
+            ([16.0, 1.0], [0, 8]),  # 2^8 sits on it
+            ([1.0, 2.0, 4.0, 8.0, 16.0, 32.0], [0, 2, 2, 2, 2, 0]),  # the cap counts since the last exp
+        ],
+    )
+    def test_rungs_without_an_exact_power_of_two_take_their_own_exp(self, bw, squarings):
+        h = np.array(bw)
+        assert [p for _, _, p in kernels._ladder_plan(-0.5 / h**2)] == squarings  # widest first
+        rng = make_rng(8)
+        X = rng.standard_normal((300, 2))
+        Y = rng.standard_normal((257, 2)) + 0.5
+        got = kernels.mmd_sums(X, Y, h)
+        np.testing.assert_allclose(got, brute_force_sums(X, Y, h), rtol=1e-12, atol=0)
+        if not any(squarings):
+            assert np.array_equal(got, sequential_mmd_sums(X, Y, h, squarings=False))
+
+    def test_rungs_clamped_by_the_bandwidth_floor_take_their_own_exp(self):
+        # clouds so tight that the 0.25 rung of the median ladder falls below
+        # BANDWIDTH_FLOOR: the clamped rung is 1.25 rungs below the next, so
+        # it is an exp of its own, to the bit of the plain formula
+        rng = make_rng(9)
+        X = 1.5e-6 * rng.standard_normal((300, 2))
+        Y = 1.5e-6 * rng.standard_normal((280, 2))
+        h = median_heuristic_bandwidths(X, Y)
+        assert h[0] == BANDWIDTH_FLOOR < h[1] < 2.0 * BANDWIDTH_FLOOR
+        plan = {b: p for b, _, p in kernels._ladder_plan(-0.5 / h**2)}
+        assert plan[0] == 0 and sum(plan.values()) == 6
+        got = kernels.mmd_sums(X, Y, h)
+        np.testing.assert_allclose(got, brute_force_sums(X, Y, h), rtol=1e-12, atol=0)
+        assert np.array_equal(got[0], sequential_mmd_sums(X, Y, h, squarings=False)[0])
 
     def test_pool_gets_one_worker_per_cpu_capped_at_the_block_count(self, monkeypatch):
         sizes = []

@@ -343,6 +343,22 @@ def test_mlp_forward_bits_do_not_depend_on_the_worker_count(workers, monkeypatch
         assert np.array_equal(g, g1)
 
 
+@pytest.mark.parametrize(
+    "widths, n, pooled",
+    [([2, 2], 4096, False), ([2, 8, 8, 2], 10_000, False), ([2, 64, 64, 2], 1024, False), ([2, 64, 64, 2], 2048, True)],
+)
+def test_only_a_call_with_enough_work_makes_a_pool(widths, n, pooled, monkeypatch):
+    made = []
+    real = kernels.map_blocks
+    monkeypatch.setattr(kernels, "map_blocks", lambda *args: made.append(len(args[1])) or real(*args))
+    net = MlpNet(widths, seed=3)
+    x = np.random.default_rng(n).normal(size=(n, 2))
+    out = net.predict(x)
+    assert bool(made) is pooled
+    assert np.array_equal(out, net(Tensor(x, requires_grad=True)).data)
+    assert np.array_equal(out, straight_line_forward(net, x, None, block=net_mod._BLOCK_ROWS))
+
+
 def _error_message(fn):
     with pytest.raises(ValueError) as exc:
         fn()
